@@ -36,7 +36,6 @@ from .genfunc import (
     bounded_dyck_gf,
     chebyshev_u,
     decimate,
-    gf_add,
     gf_closed_form,
     gf_inflate,
     gf_inv,
@@ -54,7 +53,6 @@ from .spectral import (
     DEFAULT_POLICY,
     PrecisionExhaustedError,
     PrecisionPolicy,
-    SpectralDecomposition,
     chebyshev_roots,
     count_spectral,
     empirical_rate,
@@ -92,7 +90,6 @@ __all__ = [
     "bounded_dyck_gf",
     "chebyshev_u",
     "decimate",
-    "gf_add",
     "gf_closed_form",
     "gf_inflate",
     "gf_inv",
@@ -108,7 +105,6 @@ __all__ = [
     "DEFAULT_POLICY",
     "PrecisionExhaustedError",
     "PrecisionPolicy",
-    "SpectralDecomposition",
     "chebyshev_roots",
     "count_spectral",
     "empirical_rate",

@@ -17,10 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import mpmath
 
-from .closed_forms import catalan, count_unbounded  # noqa: F401  (re-exported for scripting)
 from .diagram import (
     CountTable,
     TableBudgetError,
+    _check_nonneg,
     adjacency_power_row,
     build_table,
     count_dp,
@@ -35,8 +35,6 @@ from .spectral import (
     growth_rate,
     residue_decomposition,
 )
-
-BACKENDS = ("dp", "dyck", "gf", "spectral", "matrix")
 
 
 def _nonneg(text: str) -> int:
@@ -60,23 +58,60 @@ def _positive(text: str) -> int:
 # backend dispatch
 
 
+def _vertices(k: int, jmax: int) -> list:
+    return [(i, j) for j in range(jmax + 1) for i in range(j % 2, min(k, j) + 1, 2)]
+
+
+def _sweep_columns(column, k: int, jmax: int) -> dict:
+    # column(k, j) gives the counts at every height 0..k for one length j
+    cols = [column(k, j) for j in range(jmax + 1)]
+    return {(i, j): cols[j][i] for (i, j) in _vertices(k, jmax)}
+
+
+def _sweep_gf(k: int, jmax: int) -> dict:
+    series = [series_coeffs(gf_closed_form(k, i), jmax, nonnegative=True) for i in range(k + 1)]
+    return {(i, j): series[i][j] for (i, j) in _vertices(k, jmax)}
+
+
+# name -> (count(k, i, j), sweep(k, jmax) -> {(i, j): count} over every vertex).
+# The entries look the module's functions up when called, so a wrapper
+# installed on this module afterwards sees every call.  The order is the
+# order of --backend's choices and of verify's "choose from" list.
+BACKENDS = {
+    "dp": (lambda k, i, j: count_dp(k, i, j), lambda k, jmax: build_table(k, jmax).entries),
+    "dyck": (
+        lambda k, i, j: enumerate_count(k, i, j),
+        lambda k, jmax: _sweep_columns(endpoint_counts, k, jmax),
+    ),
+    "gf": (
+        lambda k, i, j: (
+            series_coeffs(gf_closed_form(k, i), j, nonnegative=True)[j] if i <= k else 0
+        ),
+        _sweep_gf,
+    ),
+    "spectral": (
+        lambda k, i, j: count_spectral(k, i, j) if i <= k else 0,
+        lambda k, jmax: {(i, j): count_spectral(k, i, j) for (i, j) in _vertices(k, jmax)},
+    ),
+    "matrix": (
+        lambda k, i, j: count_matrix_power(k, i, j),
+        lambda k, jmax: _sweep_columns(adjacency_power_row, k, jmax),
+    ),
+}
+
+
 def count_via(backend: str, k: int, i: int, j: int) -> int:
-    """One path count through the named backend."""
-    if backend == "dp":
-        return count_dp(k, i, j)
-    if backend == "matrix":
-        return count_matrix_power(k, i, j)
-    if backend == "dyck":
-        return enumerate_count(k, i, j)
-    if backend == "gf":
-        if i > k:
-            return 0
-        return series_coeffs(gf_closed_form(k, i), j, nonnegative=True)[j]
-    if backend == "spectral":
-        if i > k:
-            return 0
-        return count_spectral(k, i, j)
-    raise ValueError(f"unknown backend {backend!r}")
+    """One path count through the named backend.
+
+    No path of j steps climbs above height j, so every backend runs at level
+    min(k, j); an error still names the k that was asked for.
+    """
+    _check_nonneg(k=k, i=i, j=j)
+    level = min(k, j)
+    try:
+        return BACKENDS[backend][0](level, i, j)
+    except PrecisionExhaustedError as exc:
+        raise PrecisionExhaustedError(str(exc).replace(f"(k={level},", f"(k={k},", 1)) from None
 
 
 def _pick_auto(k: int, i: int, j: int, paranoid: bool) -> str:
@@ -89,7 +124,7 @@ def _pick_auto(k: int, i: int, j: int, paranoid: bool) -> str:
 
 def _cmd_count(args) -> int:
     backend = args.backend
-    if backend == "auto":
+    if backend not in BACKENDS:  # auto
         backend = _pick_auto(args.k, args.i, args.j, args.paranoid)
     if args.verbose:
         print(f"backend: {backend}", file=sys.stderr)
@@ -114,13 +149,6 @@ def table_to_json(table: CountTable) -> str:
         for (i, j) in sorted(table.entries, key=lambda key: (key[1], key[0]))
     ]
     return json.dumps({"k": table.k, "jmax": table.jmax, "entries": entries}) + "\n"
-
-
-def table_from_json(text: str) -> CountTable:
-    """Parse table_to_json output back into a CountTable (counts as exact ints)."""
-    data = json.loads(text)
-    entries = {(e["i"], e["j"]): int(e["count"]) for e in data["entries"]}
-    return CountTable(k=int(data["k"]), jmax=int(data["jmax"]), entries=entries)
 
 
 def table_to_pretty(table: CountTable) -> str:
@@ -213,30 +241,7 @@ def _cmd_rate(args) -> int:
 def _verify_task(task: tuple) -> tuple:
     """Worker: all requested backends over every vertex of one level-k diagram."""
     k, jmax, backends = task
-    keys = [(i, j) for j in range(jmax + 1) for i in range(j % 2, min(k, j) + 1, 2)]
-    by_backend: dict = {}
-    for backend in backends:
-        if backend == "dp":
-            table = build_table(k, jmax)
-            values = {key: table.entries[key] for key in keys}
-        elif backend == "matrix":
-            rows = {j: adjacency_power_row(k, j) for j in range(jmax + 1)}
-            values = {(i, j): rows[j][i] for (i, j) in keys}
-        elif backend == "gf":
-            series = {
-                i: series_coeffs(gf_closed_form(k, i), jmax, nonnegative=True)
-                for i in range(k + 1)
-            }
-            values = {(i, j): series[i][j] for (i, j) in keys}
-        elif backend == "spectral":
-            values = {(i, j): count_spectral(k, i, j) for (i, j) in keys}
-        elif backend == "dyck":
-            hist = {j: endpoint_counts(k, j) for j in range(jmax + 1)}
-            values = {(i, j): hist[j][i] for (i, j) in keys}
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        by_backend[backend] = values
-    return k, by_backend
+    return k, {backend: BACKENDS[backend][1](k, jmax) for backend in backends}
 
 
 def compare_backends(results: list, backends: tuple) -> list:
@@ -312,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_nonneg, required=True)
     p.add_argument("--i", type=_nonneg, required=True)
     p.add_argument("--j", type=_nonneg, required=True)
-    p.add_argument("--backend", choices=BACKENDS + ("auto",), default="dp")
+    p.add_argument("--backend", choices=[*BACKENDS, "auto"], default="dp")
     p.add_argument("--paranoid", action="store_true", help="auto prefers enumeration when feasible")
     p.add_argument("--verbose", action="store_true", help="report the chosen backend on stderr")
     p.set_defaults(func=_cmd_count)

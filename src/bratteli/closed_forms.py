@@ -10,7 +10,7 @@ binds and the counts are ballot numbers, Catalan numbers on the axis.
 
 import math
 
-from .diagram import is_vertex
+from .diagram import _check_nonneg, is_vertex
 
 UNBOUNDED = math.inf
 
@@ -59,10 +59,10 @@ def closed_form(k, i: int, j: int) -> int:
     Exactly equal to count_dp(k, i, j) on its domain (any other k raises
     ValueError); unreachable (i, j) give 0.
     """
-    if i < 0 or j < 0:
-        raise ValueError("i and j must be nonnegative")
+    _check_nonneg(i=i, j=j)
     if k == UNBOUNDED:
         return count_unbounded(i, j)
+    _check_nonneg(k=k)
     if k not in (1, 2, 3, 4, 5):
         raise ValueError(f"no closed form wired up for k={k!r}")
     if not is_vertex(k, i, j):

@@ -14,6 +14,7 @@ floats are never used.
 """
 
 from dataclasses import dataclass, field
+from operator import add
 
 
 class TableBudgetError(RuntimeError):
@@ -33,28 +34,38 @@ def is_vertex(k: int, i: int, j: int) -> bool:
     return 0 <= i <= k and 0 <= i <= j and (i + j) % 2 == 0
 
 
+def dp_columns(k: int, jmax: int):
+    """Yield the DP column of every length j = 0..jmax, heights 0..min(k, jmax).
+
+    Entry i of column j counts the paths from (0, 0) to (i, j).  No path of
+    jmax steps climbs above height jmax, so the cost does not grow with an
+    unused bound k.  Each column is a fresh list.
+    """
+    _check_nonneg(k=k, jmax=jmax)
+    top = min(k, jmax)
+    col = [1] + [0] * top
+    yield col
+    for _ in range(jmax):
+        # the border heights have one neighbour each; k = 0 has no arcs at all
+        col = [col[1], *map(add, col, col[2:]), col[top - 1]] if top else [0]
+        yield col
+
+
 def count_dp(k: int, i: int, j: int) -> int:
     """Count directed paths from (0, 0) to (i, j) by the two-column recurrence.
 
     The count satisfies D(i, j) = D(i-1, j-1) + D(i+1, j-1) with heights
-    outside [0, k] contributing zero.  Unreachable targets (i > k, i > j, or
-    i + j odd) count zero; negative arguments are rejected.  Runs in
-    O(k * j) integer additions and O(k) memory.
+    outside [0, k] contributing zero; it is entry i of the last of
+    dp_columns(k, j).  Unreachable targets (i > k, i > j, or i + j odd)
+    count zero; negative arguments are rejected.  Runs in O(min(k, j) * j)
+    integer additions and O(min(k, j)) memory.
     """
     _check_nonneg(k=k, i=i, j=j)
     if not is_vertex(k, i, j):
         return 0
-    cur = [0] * (k + 1)
-    cur[0] = 1
-    for _ in range(j):
-        nxt = [0] * (k + 1)
-        for h in range(k + 1):
-            s = cur[h - 1] if h > 0 else 0
-            if h + 1 <= k:
-                s += cur[h + 1]
-            nxt[h] = s
-        cur = nxt
-    return cur[i]
+    for col in dp_columns(k, j):
+        pass
+    return col[i]
 
 
 @dataclass
@@ -82,7 +93,7 @@ def table_size(k: int, jmax: int) -> int:
 
 
 def build_table(k: int, jmax: int, *, max_entries: int = 1_000_000) -> CountTable:
-    """Tabulate every count with j <= jmax in one DP pass over columns.
+    """Tabulate every count with j <= jmax: the vertices of dp_columns(k, jmax).
 
     Raises TableBudgetError before allocating anything if the table would
     hold more than ``max_entries`` vertices.
@@ -93,19 +104,11 @@ def build_table(k: int, jmax: int, *, max_entries: int = 1_000_000) -> CountTabl
         raise TableBudgetError(
             f"table for k={k}, jmax={jmax} needs {need} entries, budget is {max_entries}"
         )
-    entries: dict = {}
-    cur = [0] * (k + 1)
-    cur[0] = 1
-    for j in range(jmax + 1):
-        for i in range(j % 2, min(k, j) + 1, 2):
-            entries[(i, j)] = cur[i]
-        nxt = [0] * (k + 1)
-        for h in range(k + 1):
-            s = cur[h - 1] if h > 0 else 0
-            if h + 1 <= k:
-                s += cur[h + 1]
-            nxt[h] = s
-        cur = nxt
+    entries = {
+        (i, j): col[i]
+        for j, col in enumerate(dp_columns(k, jmax))
+        for i in range(j % 2, min(k, j) + 1, 2)
+    }
     return CountTable(k=k, jmax=jmax, entries=entries)
 
 

@@ -11,6 +11,8 @@ never exceeds k+1-s, which is the combinatorial heart of the product form
 of the generating function.
 """
 
+from .diagram import _check_nonneg
+
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when backtracking visits more nodes than the caller allowed."""
@@ -23,8 +25,7 @@ def endpoint_counts(k: int, length: int, budget: int | None = None) -> list:
     staying in [0, k] and ending at height h.  ``budget`` caps the number of
     search-tree nodes visited.
     """
-    if k < 0 or length < 0:
-        raise ValueError("k and length must be nonnegative")
+    _check_nonneg(k=k, length=length)
     counts = [0] * (k + 1)
     visited = 0
 
@@ -58,8 +59,7 @@ def enumerate_count(
     leaves; ``budget`` additionally caps visited nodes and raises
     EnumerationBudgetError naming the query when exhausted.
     """
-    if k < 0 or i < 0 or j < 0:
-        raise ValueError("k, i, j must be nonnegative")
+    _check_nonneg(k=k, i=i, j=j)
     if j > max_length:
         raise ValueError(f"j={j} exceeds the enumeration cap of {max_length} steps")
     try:

@@ -208,11 +208,6 @@ GF_ZERO = RationalGF((), (1,))
 GF_ONE = RationalGF((1,), (1,))
 
 
-def gf_add(a: RationalGF, b: RationalGF) -> RationalGF:
-    num = poly_add(poly_mul(list(a.num), list(b.den)), poly_mul(list(b.num), list(a.den)))
-    return make_gf(num, poly_mul(list(a.den), list(b.den)))
-
-
 def gf_sub(a: RationalGF, b: RationalGF) -> RationalGF:
     num = poly_sub(poly_mul(list(a.num), list(b.den)), poly_mul(list(b.num), list(a.den)))
     return make_gf(num, poly_mul(list(a.den), list(b.den)))

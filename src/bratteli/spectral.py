@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .diagram import count_dp
+from .diagram import _check_nonneg, count_dp
 
 
 class PrecisionExhaustedError(ArithmeticError):
@@ -135,9 +135,8 @@ def count_spectral(k: int, i: int, j: int, policy: PrecisionPolicy | None = None
     """
     if policy is None:
         policy = DEFAULT_POLICY
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    if not 0 <= i <= k:
+    _check_nonneg(k=k, i=i, j=j)
+    if i > k:
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     bits = max(policy.initial_bits, j + 32)
     last = None

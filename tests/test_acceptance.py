@@ -37,9 +37,7 @@ from bratteli import (
     u_reversed,
 )
 from bratteli.cli import BACKENDS, count_via
-from bratteli.diagram import adjacency_power_row
-from bratteli.dyck import endpoint_counts
-from bratteli.genfunc import GF_ONE, bounded_dyck_gf, poly_shift, poly_sub, series_coeffs
+from bratteli.genfunc import GF_ONE, bounded_dyck_gf, poly_shift, poly_sub
 
 from frozen_tables import K2_TABLE, K3_TABLE
 
@@ -52,25 +50,7 @@ def _report(num, ok, label, elapsed=None):
 
 def _sweep_values(k, jmax, backend):
     """Every in-diagram count for one level, through one backend."""
-    keys = [(i, j) for j in range(jmax + 1) for i in range(j % 2, min(k, j) + 1, 2)]
-    if backend == "dp":
-        table = build_table(k, jmax)
-        return {key: table.entries[key] for key in keys}
-    if backend == "matrix":
-        rows = {j: adjacency_power_row(k, j) for j in range(jmax + 1)}
-        return {(i, j): rows[j][i] for (i, j) in keys}
-    if backend == "gf":
-        series = {
-            i: series_coeffs(gf_closed_form(k, i), jmax, nonnegative=True)
-            for i in range(k + 1)
-        }
-        return {(i, j): series[i][j] for (i, j) in keys}
-    if backend == "spectral":
-        return {(i, j): count_spectral(k, i, j) for (i, j) in keys}
-    if backend == "dyck":
-        hist = {j: endpoint_counts(k, j) for j in range(jmax + 1)}
-        return {(i, j): hist[j][i] for (i, j) in keys}
-    raise AssertionError(backend)
+    return BACKENDS[backend][1](k, jmax)
 
 
 def test_1_frozen_tables_through_all_five_backends():

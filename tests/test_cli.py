@@ -1,12 +1,16 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 
 import mpmath
 import pytest
 
 from bratteli import cli
-from bratteli.diagram import build_table
+from bratteli.closed_forms import closed_form
+from bratteli.diagram import build_table, count_dp, count_matrix_power
+from bratteli.dyck import enumerate_count
+from bratteli.spectral import count_spectral
 
 
 def run(argv):
@@ -50,6 +54,42 @@ def test_count_negative_rejected_usage():
     assert code == 2
 
 
+@pytest.mark.parametrize("backend", list(cli.BACKENDS))
+@pytest.mark.parametrize("j", [0, 1, 5, 12])
+def test_count_via_clamps_k_to_j(monkeypatch, backend, j):
+    # D_k(i, j) = D_j(i, j) once k >= j.  An unclamped k = 10**6 would take
+    # the matrix backend 8 TB, so the guard fails the test before that.
+    count, sweep = cli.BACKENDS[backend]
+
+    def guarded(level, i, j):
+        assert level <= j, f"{backend} asked at level {level} for {j} steps"
+        return count(level, i, j)
+
+    monkeypatch.setitem(cli.BACKENDS, backend, (guarded, sweep))
+    for i in range(j + 2):
+        assert cli.count_via(backend, 10**6, i, j) == count_dp(j, i, j), (i, j)
+
+
+BAD_INPUTS = [(True, 0, 0), (2, False, 2), (2, 0, 2.0), (1.0, 0, 0), (2.0, 0, 2),
+              (-1, 0, 0), (2, -1, 1), (2, 0, -2)]
+COUNTERS = {
+    **{f"count_via:{b}": partial(cli.count_via, b) for b in cli.BACKENDS},
+    "count_dp": count_dp,
+    "count_matrix_power": count_matrix_power,
+    "enumerate_count": enumerate_count,
+    "count_spectral": count_spectral,
+    "closed_form": closed_form,
+}
+
+
+@pytest.mark.parametrize("name", list(COUNTERS))
+@pytest.mark.parametrize("args", BAD_INPUTS, ids=repr)
+def test_count_functions_share_one_input_contract(name, args):
+    # bools, floats and negatives are ValueErrors everywhere
+    with pytest.raises(ValueError):
+        COUNTERS[name](*args)
+
+
 def test_count_dyck_cap_is_domain_error():
     code, _, err = run(["count", "--k", "2", "--i", "0", "--j", "30", "--backend", "dyck"])
     assert code == 2
@@ -90,7 +130,8 @@ def test_table_json_round_trip():
     data = json.loads(out)
     assert data["k"] == 3 and data["jmax"] == 9
     assert all(isinstance(e["count"], str) for e in data["entries"])
-    assert cli.table_from_json(out) == build_table(3, 9)
+    parsed = {(e["i"], e["j"]): int(e["count"]) for e in data["entries"]}
+    assert parsed == build_table(3, 9).entries
 
 
 def test_table_pretty_plain_text(monkeypatch):

@@ -8,6 +8,7 @@ from bratteli.diagram import (
     count_dp,
     count_matrix_power,
     degrees,
+    dp_columns,
     is_vertex,
     table_size,
 )
@@ -70,6 +71,15 @@ def test_monotone_in_k_and_stabilized():
                 prev = cur
             # once k >= j the bound is slack
             assert count_dp(j, i, j) == count_dp(j + 5, i, j)
+
+
+def test_dp_columns_stop_at_the_reachable_height():
+    # k = 10**6, not 10**9: a column of 10**9 heights would exhaust memory
+    # before the assertion could fail
+    assert list(dp_columns(10**6, 0)) == [[1]]
+    assert list(dp_columns(9, 3)) == [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 2, 0, 1]]
+    assert list(dp_columns(1, 3)) == [[1, 0], [0, 1], [1, 0], [0, 1]]
+    assert list(dp_columns(0, 2)) == [[1], [0], [0]]
 
 
 def test_build_table_matches_count_dp():

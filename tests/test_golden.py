@@ -1,0 +1,111 @@
+"""Golden CLI outputs: stdout digest, exact stderr and exit code per argv.
+
+Every vector was recorded once from the CLI and must stay byte-identical
+across refactors of the backends, the table formats and the parser.
+COLUMNS is pinned because argparse wraps its usage text to the terminal
+width.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from bratteli import cli
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+COUNT_USAGE = (
+    "usage: bratteli count [-h] --k K --i I --j J\n"
+    "                      [--backend {dp,dyck,gf,spectral,matrix,auto}]\n"
+    "                      [--paranoid] [--verbose]\n"
+)
+
+# (argv, sha256 of stdout, stderr, exit code)
+GOLDEN = [
+    (["count", "--k", "3", "--i", "1", "--j", "11"],
+     "69a9cd8a9e12b122cdf59392131bf6c83e7360c2f745921e76f48a16f1cc541a", "", 0),
+    (["count", "--k", "4", "--i", "2", "--j", "14", "--backend", "dp"],
+     "f167f2fcbf3c641b8857e859ba871b5feb29f5a1f6ce3255861057b0d65549e8", "", 0),
+    (["count", "--k", "4", "--i", "2", "--j", "14", "--backend", "dyck"],
+     "f167f2fcbf3c641b8857e859ba871b5feb29f5a1f6ce3255861057b0d65549e8", "", 0),
+    (["count", "--k", "2", "--i", "0", "--j", "200", "--backend", "gf"],
+     "835325eefb225dee3e38e99c6a82cb810187a832dbe2569f84bd3c5840c7f2cc", "", 0),
+    (["count", "--k", "5", "--i", "3", "--j", "25", "--backend", "spectral"],
+     "64a3ecef0de371dee844f9f3b15ed58c34c9927068d826a2ba72802f9ee975df", "", 0),
+    (["count", "--k", "6", "--i", "2", "--j", "40", "--backend", "matrix"],
+     "f0ed7b3476ddf4d1e3f95015828c5c10d6c7cf9945376f3f163326bb0ee35fdb", "", 0),
+    (["count", "--k", "2", "--i", "5", "--j", "7", "--backend", "spectral"],
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa", "", 0),
+    (["count", "--k", "2", "--i", "5", "--j", "7", "--backend", "gf"],
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa", "", 0),
+    (["count", "--k", "2", "--i", "0", "--j", "150", "--backend", "auto", "--verbose"],
+     "720591bb95eb158485ddb9dfb23091626632d4a9e7322585a11b16f374b04710", "backend: spectral\n", 0),
+    (["count", "--k", "2", "--i", "0", "--j", "8", "--backend", "auto", "--paranoid", "--verbose"],
+     "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8", "backend: dyck\n", 0),
+    (["count", "--k", "2", "--i", "0", "--j", "30", "--backend", "dyck"],
+     EMPTY, "error: j=30 exceeds the enumeration cap of 26 steps\n", 2),
+    (["count", "--k", "100000", "--i", "0", "--j", "66000", "--backend", "spectral"],
+     EMPTY, (
+        "error: no stable integer for (k=100000, i=0, j=66000) within 65536 "
+        "bits (last residual: never evaluated)\n"
+    ), 2),
+    (["table", "--k", "2", "--jmax", "4"],
+     "ac062f87556fea7a82c63c915f9b051aec85a08532771c14091d53b2a3f1bc3f", "", 0),
+    (["table", "--k", "3", "--jmax", "9", "--format", "json"],
+     "b77901abf96d83b96e7a1a1ceef718295cb31b7dc488bf9653d80736cb91b38c", "", 0),
+    (["table", "--k", "3", "--jmax", "7", "--format", "pretty"],
+     "79f67a9263606c4daea2e49622983b67199d2d919208140f59cfff5059376ff3", "", 0),
+    (["table", "--k", "9", "--jmax", "3", "--format", "csv"],
+     "d006a9dae3767e93bfa71054f744720317128713a8ed914f9a1ce575f3e93503", "", 0),
+    (["table", "--k", "9", "--jmax", "3", "--format", "json"],
+     "b5cd198697006b34021392cb60fcf77b5b8f71ad24008db3ddb0a4f453fe53d4", "", 0),
+    (["table", "--k", "9", "--jmax", "3", "--format", "pretty"],
+     "73c0183a299385a626afc24c4f4075e06ded9fae341ca2ce5ca4faa385da8349", "", 0),
+    (["gf", "--k", "5", "--i", "0", "--even"],
+     "3a791d11a5bc8519c2f23bc92faef546800409c3fb4600cb872a343b9172b689", "", 0),
+    (["gf", "--k", "3", "--i", "1"],
+     "baa8c85d9398e98ca741095d4673685f7de6d7f89347205d95da1c0f84a5ddee", "", 0),
+    (["residues", "--k", "3", "--i", "1", "--bits", "96"],
+     "d40970eb7bf99d672d2b18e99f98d0e36e742b05ad6a5698fe5f2a0cbad8fa97", "", 0),
+    (["rate", "--k", "3", "--digits", "10"],
+     "59add840b197f800a43d0b4582da24deb15dcff5b9167d2dc4399182c38cb5cb", "", 0),
+    (["rate", "--k", "0"],
+     "25eba21dc42f5fcfaf6459ef435e26236990b3486601f43fc2f16da26d939d61", "", 0),
+    (["verify", "--kmax", "3", "--jmax", "10", "--jobs", "1",
+      "--backends", "dp,dyck,gf,spectral,matrix"],
+     "9320d1990e1d911f235dc0f8c79de7f0bdcfacdd8c4d18efa427f5652d3865e5", "", 0),
+    (["verify", "--kmax", "3", "--jmax", "12", "--jobs", "1"],
+     "9d223eb6fec0fdaa87679d721d81fbc1f28820d3116af7fdbe1da2c708476435", "", 0),
+    (["verify", "--kmax", "2", "--jmax", "4", "--backends", "dp,nope"],
+     EMPTY, "error: unknown backend 'nope'; choose from dp, dyck, gf, spectral, matrix\n", 2),
+    (["verify", "--kmax", "2", "--jmax", "30", "--backends", "dp,dyck"],
+     EMPTY, "error: the dyck backend enumerates at most 26 steps; lower --jmax\n", 2),
+    (["count", "--k", "2", "--i", "0", "--j", "4", "--backend", "bogus"],
+     EMPTY, COUNT_USAGE
+        + "bratteli count: error: argument --backend: invalid choice: 'bogus' "
+        "(choose from 'dp', 'dyck', 'gf', 'spectral', 'matrix', 'auto')\n", 2),
+    (["count", "--k", "-1", "--i", "0", "--j", "4"],
+     EMPTY, COUNT_USAGE
+        + "bratteli count: error: argument --k: must be nonnegative\n", 2),
+    (["gf", "--k", "2", "--i", "3"],
+     EMPTY, "error: need 0 <= i <= k, got i=3, k=2\n", 2),
+    ([],
+     EMPTY, (
+        "usage: bratteli [-h] {count,table,gf,residues,rate,verify} ...\n"
+        "bratteli: error: the following arguments are required: command\n"
+    ), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest, stderr, code", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN]
+)
+def test_cli_bytes_are_pinned(monkeypatch, argv, digest, stderr, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        got = cli.main(argv)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert err.getvalue() == stderr
+    assert got == code
