@@ -50,9 +50,7 @@ from .genfunc import (
     u_reversed,
 )
 from .spectral import (
-    DEFAULT_POLICY,
     PrecisionExhaustedError,
-    PrecisionPolicy,
     chebyshev_roots,
     count_spectral,
     empirical_rate,
@@ -102,9 +100,7 @@ __all__ = [
     "recurrence_from_gf",
     "series_coeffs",
     "u_reversed",
-    "DEFAULT_POLICY",
     "PrecisionExhaustedError",
-    "PrecisionPolicy",
     "chebyshev_roots",
     "count_spectral",
     "empirical_rate",

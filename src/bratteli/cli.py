@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import mpmath
 
 from .diagram import (
+    MAX_ENTRIES,
     CountTable,
     TableBudgetError,
     _check_nonneg,
@@ -90,7 +91,7 @@ BACKENDS = {
         _sweep_gf,
     ),
     "spectral": (
-        lambda k, i, j: count_spectral(k, i, j) if i <= k else 0,
+        lambda k, i, j: count_spectral(k, i, j),
         lambda k, jmax: {(i, j): count_spectral(k, i, j) for (i, j) in _vertices(k, jmax)},
     ),
     "matrix": (
@@ -152,7 +153,17 @@ def table_to_json(table: CountTable) -> str:
 
 
 def table_to_pretty(table: CountTable) -> str:
-    """Triangular plain-text layout, heights top-down, lengths left-right."""
+    """Triangular plain-text layout, heights top-down, lengths left-right.
+
+    The layout has a row for every height up to k, so it is refused with
+    TableBudgetError when it would hold more than MAX_ENTRIES cells.
+    """
+    cells = (table.k + 1) * (table.jmax + 1)
+    if cells > MAX_ENTRIES:
+        raise TableBudgetError(
+            f"pretty table for k={table.k}, jmax={table.jmax} needs {cells} cells,"
+            f" budget is {MAX_ENTRIES}"
+        )
     width = max((len(str(c)) for c in table.entries.values()), default=1)
     width = max(width, len(str(table.jmax)))
     lines = []

@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 from operator import add
 
 
+MAX_ENTRIES = 1_000_000  # default budget of a table, in vertices (or cells of a layout)
+
+
 class TableBudgetError(RuntimeError):
     """Raised when a requested table would exceed its entry budget."""
 
@@ -92,7 +95,7 @@ def table_size(k: int, jmax: int) -> int:
     return total
 
 
-def build_table(k: int, jmax: int, *, max_entries: int = 1_000_000) -> CountTable:
+def build_table(k: int, jmax: int, *, max_entries: int = MAX_ENTRIES) -> CountTable:
     """Tabulate every count with j <= jmax: the vertices of dp_columns(k, jmax).
 
     Raises TableBudgetError before allocating anything if the table would
@@ -146,13 +149,15 @@ def adjacency_power_row(k: int, j: int) -> list:
 def count_matrix_power(k: int, i: int, j: int) -> int:
     """Entry (0, i) of the j-th power of the path-graph adjacency matrix.
 
-    Agrees with count_dp everywhere; costs O(k**3 log j) big-integer
-    multiplications via binary exponentiation.
+    Agrees with count_dp everywhere and, like it, runs at level min(k, j);
+    costs O(min(k, j)**3 log j) big-integer multiplications via binary
+    exponentiation.
     """
     _check_nonneg(k=k, i=i, j=j)
-    if i > k:
+    level = min(k, j)
+    if i > level:
         return 0
-    return adjacency_power_row(k, j)[i]
+    return adjacency_power_row(level, j)[i]
 
 
 def degrees(k: int, i: int, j: int) -> tuple:

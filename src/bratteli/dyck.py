@@ -54,19 +54,23 @@ def enumerate_count(
     """Count paths from the origin to (i, j) by exhaustive backtracking.
 
     The search explores every bounded prefix (u before d, so enumeration
-    order is lexicographic) and checks the endpoint at depth j.  ``j`` must
-    not exceed ``max_length`` (default 26) since the tree has up to 2**j
-    leaves; ``budget`` additionally caps visited nodes and raises
+    order is lexicographic) and checks the endpoint at depth j, at level
+    min(k, j) since no path of j steps climbs higher.  ``j`` must not exceed
+    ``max_length`` (default 26) since the tree has up to 2**j leaves;
+    ``budget`` additionally caps visited nodes and raises
     EnumerationBudgetError naming the query when exhausted.
     """
     _check_nonneg(k=k, i=i, j=j)
     if j > max_length:
         raise ValueError(f"j={j} exceeds the enumeration cap of {max_length} steps")
+    level = min(k, j)
     try:
-        counts = endpoint_counts(k, j, budget)
-    except EnumerationBudgetError as exc:
-        raise EnumerationBudgetError(f"{exc} while counting (k={k}, i={i}, j={j})") from None
-    return counts[i] if i <= k else 0
+        counts = endpoint_counts(level, j, budget)
+    except EnumerationBudgetError:
+        raise EnumerationBudgetError(
+            f"enumeration budget {budget} exhausted while counting (k={k}, i={i}, j={j})"
+        ) from None
+    return counts[i] if i <= level else 0
 
 
 def iter_paths(k: int, length: int):

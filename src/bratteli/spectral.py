@@ -1,19 +1,22 @@
 """Spectral backend: counts as finite power sums over the adjacency spectrum.
 
-The path graph on heights 0..k has eigenvalues 2 cos(r pi / (k+2)) for
-r = 1..k+1, so the count of length-j paths ending at height i is the exact
-real number
+The path graph on heights 0..k has eigenvalues lambda_r = 2 cos(theta_r),
+theta_r = r pi / (k+2), for r = 1..k+1, so the count of length-j paths
+ending at height i is the exact real number
 
-    sum_r w_r * lambda_r**j,
-    w_r = (2 / (k+2)) * (-1)**(r+1) * U_{k-i}(rho_r) * sin(r pi/(k+2))**2,
-    lambda_r = 2 * rho_r,   rho_r = cos(r pi / (k+2)),
+    sum_r w_r * lambda_r**j,    w_r = 2 sin(theta_r) sin((i+1) theta_r) / (k+2).
 
-with U the Chebyshev polynomials of the second kind.  Evaluated in binary
-floating point the sum is only close to the true integer, so
-``count_spectral`` raises precision until rounding is trustworthy: start at
-max(initial_bits, j + 32) bits (counts are below 2**j), and accept only a
-value within ``accept_distance`` of the same integer at two consecutive
-precisions (one doubling apart).
+This is the Chebyshev weight (-1)**(r+1) U_{k-i}(cos theta_r) sin(theta_r)**2
+times 2/(k+2), rewritten by U_m(cos t) = sin((m+1) t) / sin t.  When i + j is
+even the terms of r and k+2-r are equal, so ``count_spectral`` sums the
+r < (k+2)/2 half and doubles it.
+
+Evaluated in binary floating point the sum is only close to the true
+integer, so ``count_spectral`` climbs a precision ladder: it starts at
+max(INITIAL_BITS, j + 32) bits (counts are below 2**j) and accepts a value
+only when the sum lies within ACCEPT_DISTANCE of the same integer at two
+consecutive precisions (one doubling apart).  Agreement of two rungs is a
+heuristic, not a proof that the integer is right.
 
 mpmath supplies the arbitrary-precision reals; everything else is explicit.
 """
@@ -23,36 +26,15 @@ from functools import lru_cache
 
 import mpmath
 
-from .diagram import _check_nonneg, count_dp
+from .diagram import _check_nonneg, count_dp, is_vertex
+
+INITIAL_BITS = 64  # lowest starting precision of count_spectral's ladder
+MAX_BITS = 1 << 16  # the ladder gives up above this precision
+ACCEPT_DISTANCE = 2.0 ** -16  # a rung counts when its sum is this close to an integer
 
 
 class PrecisionExhaustedError(ArithmeticError):
-    """Raised when no stable integer emerges within the precision budget."""
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Adaptive-precision schedule for count_spectral.
-
-    initial_bits must be at least 64 and accept_distance at most 2**-16;
-    max_bits should leave room for at least one doubling above the starting
-    precision or the stability test can never pass.
-    """
-
-    initial_bits: int = 64
-    max_bits: int = 1 << 16
-    accept_distance: float = 2.0 ** -16
-
-    def __post_init__(self):
-        if self.initial_bits < 64:
-            raise ValueError("initial_bits must be at least 64")
-        if not 0.0 < self.accept_distance <= 2.0 ** -16:
-            raise ValueError("accept_distance must be in (0, 2**-16]")
-        if self.max_bits < self.initial_bits:
-            raise ValueError("max_bits must be at least initial_bits")
-
-
-DEFAULT_POLICY = PrecisionPolicy()
+    """Raised when no stable integer emerges within MAX_BITS of precision."""
 
 
 @dataclass(frozen=True)
@@ -67,38 +49,29 @@ class SpectralDecomposition:
 
 @lru_cache(maxsize=4096)
 def _angles(k: int, bits: int) -> tuple:
-    # cos and sin**2 of r pi/(k+2) for r = 1..k+1, computed once per (k, bits)
+    # sin(m pi/(k+2)) for m = 0..k+1 and the poles 2 cos(r pi/(k+2)) for r = 1..k+1,
+    # evaluated for m <= (k+2)/2 only and mirrored by theta -> pi - theta; the
+    # direct value is stored last, so the middle angle m = (k+2)/2 keeps its own
+    n = k + 2
+    sines, cosines = [None] * (n + 1), [None] * (n + 1)
     with mpmath.workprec(bits):
         pi = +mpmath.pi
-        rhos = []
-        sin2s = []
-        for r in range(1, k + 2):
-            theta = pi * r / (k + 2)
-            rhos.append(mpmath.cos(theta))
-            sin2s.append(mpmath.sin(theta) ** 2)
-    return tuple(rhos), tuple(sin2s)
+        for m in range(n // 2 + 1):
+            c, s = mpmath.cos_sin(pi * m / n)
+            sines[n - m], sines[m] = s, s
+            cosines[n - m], cosines[m] = -c, c
+        poles = tuple(2 * c for c in cosines[1:n])
+    return tuple(sines[:n]), poles
 
 
-def _u_value(r: int, x):
-    # U_r(x) by the three-term recurrence, in the arithmetic of x
-    prev = 1 + 0 * x
-    if r == 0:
-        return prev
-    cur = 2 * x
-    for _ in range(r - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
-
-
-def _terms(k: int, i: int, bits: int) -> list:
-    rhos, sin2s = _angles(k, bits)
+def _weights(k: int, i: int, bits: int, count: int) -> list:
+    # (w_r, lambda_r) for r = 1..count, in the caller's working precision
+    sines, poles = _angles(k, bits)
     out = []
-    sign = 1
-    for r in range(1, k + 2):
-        rho = rhos[r - 1]
-        w = 2 * sign * _u_value(k - i, rho) * sin2s[r - 1] / (k + 2)
-        out.append((w, 2 * rho))
-        sign = -sign
+    for r in range(1, count + 1):
+        turns, m = divmod((i + 1) * r, k + 2)
+        s = -sines[m] if turns % 2 else sines[m]  # sin(x + pi) = -sin(x)
+        out.append((2 * sines[r] * s / (k + 2), poles[r - 1]))
     return out
 
 
@@ -118,52 +91,53 @@ def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposit
     U_{k-i}/U_{k+1} at the roots of U_{k+1}; poles are the corresponding
     path-graph eigenvalues 2 cos(r pi/(k+2)).
     """
-    if not 0 <= i <= k:
+    _check_nonneg(k=k, i=i)
+    if i > k:
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     with mpmath.workprec(bits):
-        terms = tuple(_terms(k, i, bits))
+        terms = tuple(_weights(k, i, bits, k + 1))
     return SpectralDecomposition(k=k, i=i, bits=bits, terms=terms)
 
 
-def count_spectral(k: int, i: int, j: int, policy: PrecisionPolicy | None = None) -> int:
-    """Path count via the spectral power sum, rounded once it is provably stable.
+def count_spectral(k: int, i: int, j: int) -> int:
+    """Path count via the spectral power sum, once two precisions agree on it.
 
-    Precision starts at max(initial_bits, j + 32) bits and doubles until the
-    sum lies within accept_distance of the same integer twice in a row;
-    PrecisionExhaustedError reports the final residual if max_bits is hit
-    first.  Requires 0 <= i <= k and j >= 0.
+    Runs at level min(k, j), since no path of j steps climbs higher.
+    Precision starts at max(INITIAL_BITS, j + 32) bits and doubles until the
+    sum lies within ACCEPT_DISTANCE of the same integer twice in a row;
+    PrecisionExhaustedError reports the final residual if MAX_BITS is hit
+    first.  Unreachable targets count zero, as in count_dp.
     """
-    if policy is None:
-        policy = DEFAULT_POLICY
     _check_nonneg(k=k, i=i, j=j)
-    if i > k:
-        raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
-    bits = max(policy.initial_bits, j + 32)
+    if not is_vertex(k, i, j):
+        return 0
+    if j == 0:
+        return 1  # the empty path: the halved sum leaves out the pole 0, seen only at j = 0
+    level = min(k, j)
+    bits = max(INITIAL_BITS, j + 32)
     last = None
     dist = None
-    while bits <= policy.max_bits:
+    while bits <= MAX_BITS:
         with mpmath.workprec(bits):
-            total = mpmath.mpf(0)
-            for w, lam in _terms(k, i, bits):
-                total += w * lam ** j
+            half = _weights(level, i, bits, (level + 1) // 2)
+            total = 2 * mpmath.fsum(w * lam ** j for w, lam in half)
             nearest = int(mpmath.nint(total))
             dist = abs(total - nearest)
-            ok = dist < policy.accept_distance
+            ok = dist < ACCEPT_DISTANCE
         if ok and last == nearest:
             return nearest
         last = nearest if ok else None
         bits <<= 1
     residual = "never evaluated" if dist is None else mpmath.nstr(dist, 8)
     raise PrecisionExhaustedError(
-        f"no stable integer for (k={k}, i={i}, j={j}) within {policy.max_bits} bits"
+        f"no stable integer for (k={k}, i={i}, j={j}) within {MAX_BITS} bits"
         f" (last residual: {residual})"
     )
 
 
 def growth_rate(k: int, bits: int = 53):
     """Dominant eigenvalue 2 cos(pi / (k+2)): the asymptotic growth per step."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_nonneg(k=k)
     with mpmath.workprec(bits):
         return 2 * mpmath.cos(mpmath.pi / (k + 2))
 
@@ -177,8 +151,7 @@ def empirical_rate(k: int, i: int, jmax: int, bits: int = 128):
     bits keeps rounding far below the distance to the limit even when the
     ratio has nearly converged.
     """
-    if k < 0 or i < 0 or jmax < 0:
-        raise ValueError("k, i, jmax must be nonnegative")
+    _check_nonneg(k=k, i=i, jmax=jmax)
     jm = jmax - (i + jmax) % 2
     if jm < 2:
         raise ValueError("jmax too small: need at least two usable lengths")

@@ -6,11 +6,11 @@ from functools import partial
 import mpmath
 import pytest
 
-from bratteli import cli
+from bratteli import cli, diagram, dyck, spectral
 from bratteli.closed_forms import closed_form
-from bratteli.diagram import build_table, count_dp, count_matrix_power
+from bratteli.diagram import TableBudgetError, build_table, count_dp, count_matrix_power
 from bratteli.dyck import enumerate_count
-from bratteli.spectral import count_spectral
+from bratteli.spectral import count_spectral, empirical_rate, growth_rate, residue_decomposition
 
 
 def run(argv):
@@ -70,6 +70,28 @@ def test_count_via_clamps_k_to_j(monkeypatch, backend, j):
         assert cli.count_via(backend, 10**6, i, j) == count_dp(j, i, j), (i, j)
 
 
+@pytest.mark.parametrize(
+    "module, inner, count",
+    [(diagram, "adjacency_power_row", count_matrix_power),
+     (dyck, "endpoint_counts", enumerate_count),
+     (spectral, "_angles", count_spectral)],
+    ids=["matrix", "dyck", "spectral"],
+)
+@pytest.mark.parametrize("j", [0, 1, 5, 12])
+def test_count_functions_run_at_level_min_k_j(monkeypatch, module, inner, count, j):
+    # the library functions clamp k themselves; the guard fails the test
+    # before an unclamped k = 10**6 could allocate anything
+    real = getattr(module, inner)
+
+    def guarded(level, *rest):
+        assert level <= j, f"{inner} asked at level {level} for {j} steps"
+        return real(level, *rest)
+
+    monkeypatch.setattr(module, inner, guarded)
+    for i in range(j + 2):
+        assert count(10**6, i, j) == count_dp(j, i, j), (i, j)
+
+
 BAD_INPUTS = [(True, 0, 0), (2, False, 2), (2, 0, 2.0), (1.0, 0, 0), (2.0, 0, 2),
               (-1, 0, 0), (2, -1, 1), (2, 0, -2)]
 COUNTERS = {
@@ -88,6 +110,23 @@ def test_count_functions_share_one_input_contract(name, args):
     # bools, floats and negatives are ValueErrors everywhere
     with pytest.raises(ValueError):
         COUNTERS[name](*args)
+
+
+@pytest.mark.parametrize("args", BAD_INPUTS, ids=repr)
+def test_spectral_functions_share_one_input_contract(args):
+    # the one bad value of each triple, in every integer argument
+    bad = next(v for v in args if type(v) is not int or v < 0)
+    calls = [
+        lambda: residue_decomposition(bad, 0),
+        lambda: residue_decomposition(3, bad),
+        lambda: growth_rate(bad),
+        lambda: empirical_rate(bad, 0, 10),
+        lambda: empirical_rate(3, bad, 10),
+        lambda: empirical_rate(3, 1, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_count_dyck_cap_is_domain_error():
@@ -141,6 +180,20 @@ def test_table_pretty_plain_text(monkeypatch):
     assert "\x1b" not in out  # no colour codes, NO_COLOR or not
     assert "j |" in out
     assert "13" in out  # D(1, 7)
+
+
+def test_table_pretty_layout_has_a_budget():
+    # one row per height up to k: k = 10**9 would be 10**9 lines, so it is refused
+    code, out, err = run(["table", "--k", "1000000000", "--jmax", "0", "--format", "pretty"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: pretty table for k=1000000000, jmax=0 needs 1000000001 cells,"
+        " budget is 1000000\n"
+    )
+    with pytest.raises(TableBudgetError):
+        cli.table_to_pretty(build_table(1_000_000, 0))
+    assert run(["table", "--k", "1000000000", "--jmax", "0", "--format", "csv"]) == (
+        0, "j,i,count\n0,0,1\n", "")
 
 
 def test_gf_output():

@@ -1,11 +1,11 @@
 import mpmath
 import pytest
 
+from bratteli import spectral
 from bratteli.diagram import build_table, count_dp
 from bratteli.genfunc import chebyshev_u, poly_eval
 from bratteli.spectral import (
     PrecisionExhaustedError,
-    PrecisionPolicy,
     chebyshev_roots,
     count_spectral,
     empirical_rate,
@@ -85,8 +85,7 @@ def test_count_spectral_anchors():
     assert count_spectral(5, 0, 12) == 131
     assert count_spectral(9, 0, 1) == 0  # parity: the sum cancels to 0
     assert count_spectral(7, 3, 1) == 0  # shorter than the height
-    with pytest.raises(ValueError):
-        count_spectral(2, 3, 4)
+    assert count_spectral(2, 3, 4) == 0  # above the band, as in count_dp
     with pytest.raises(ValueError):
         count_spectral(2, 0, -1)
 
@@ -99,29 +98,18 @@ def test_count_spectral_swept_against_dp():
                 assert count_spectral(k, i, j) == rows[(i, j)], (k, i, j)
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        PrecisionPolicy(initial_bits=32)
-    with pytest.raises(ValueError):
-        PrecisionPolicy(accept_distance=1e-3)
-    with pytest.raises(ValueError):
-        PrecisionPolicy(initial_bits=128, max_bits=64)
-
-
-def test_custom_policy_runs():
-    policy = PrecisionPolicy(initial_bits=64, max_bits=1 << 12)
-    assert count_spectral(6, 0, 40, policy) == count_dp(6, 0, 40)
-
-
-def test_precision_exhaustion():
-    # stability needs one doubling; max_bits forbids it, so the count must refuse
-    policy = PrecisionPolicy(initial_bits=64, max_bits=96)
+def test_precision_exhaustion(monkeypatch):
+    # stability needs one doubling; a MAX_BITS below it makes the count refuse
+    monkeypatch.setattr(spectral, "MAX_BITS", 96)
     with pytest.raises(PrecisionExhaustedError):
-        count_spectral(6, 0, 60, policy)
-    # max_bits below the starting precision refuses immediately
-    tight = PrecisionPolicy(initial_bits=64, max_bits=64)
-    with pytest.raises(PrecisionExhaustedError):
-        count_spectral(6, 0, 60, tight)
+        count_spectral(6, 0, 60)
+    # a MAX_BITS below the starting precision refuses before evaluating anything
+    monkeypatch.setattr(spectral, "MAX_BITS", 64)
+    with pytest.raises(PrecisionExhaustedError, match="never evaluated"):
+        count_spectral(6, 0, 60)
+    # a lower MAX_BITS that still leaves room for one doubling changes nothing
+    monkeypatch.setattr(spectral, "MAX_BITS", 1 << 12)
+    assert count_spectral(6, 0, 40) == count_dp(6, 0, 40)
 
 
 def test_growth_rate_values():
