@@ -98,6 +98,14 @@ def test_count_spectral_swept_against_dp():
                 assert count_spectral(k, i, j) == rows[(i, j)], (k, i, j)
 
 
+def test_custom_policy_runs(monkeypatch):
+    # a custom ladder (lowest start, lower MAX_BITS) that still leaves room
+    # for one doubling changes nothing
+    monkeypatch.setattr(spectral, "INITIAL_BITS", 64)
+    monkeypatch.setattr(spectral, "MAX_BITS", 1 << 12)
+    assert count_spectral(6, 0, 40) == count_dp(6, 0, 40)
+
+
 def test_precision_exhaustion(monkeypatch):
     # stability needs one doubling; a MAX_BITS below it makes the count refuse
     monkeypatch.setattr(spectral, "MAX_BITS", 96)
@@ -107,9 +115,6 @@ def test_precision_exhaustion(monkeypatch):
     monkeypatch.setattr(spectral, "MAX_BITS", 64)
     with pytest.raises(PrecisionExhaustedError, match="never evaluated"):
         count_spectral(6, 0, 60)
-    # a lower MAX_BITS that still leaves room for one doubling changes nothing
-    monkeypatch.setattr(spectral, "MAX_BITS", 1 << 12)
-    assert count_spectral(6, 0, 40) == count_dp(6, 0, 40)
 
 
 def test_growth_rate_values():
