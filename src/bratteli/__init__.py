@@ -16,12 +16,10 @@ from .diagram import (
     build_table,
     count_dp,
     count_matrix_power,
-    degrees,
     is_vertex,
     table_size,
 )
 from .dyck import (
-    EnumerationBudgetError,
     endpoint_counts,
     enumerate_count,
     factorize,
@@ -51,7 +49,6 @@ from .genfunc import (
 )
 from .spectral import (
     PrecisionExhaustedError,
-    chebyshev_roots,
     count_spectral,
     empirical_rate,
     growth_rate,
@@ -72,10 +69,8 @@ __all__ = [
     "build_table",
     "count_dp",
     "count_matrix_power",
-    "degrees",
     "is_vertex",
     "table_size",
-    "EnumerationBudgetError",
     "endpoint_counts",
     "enumerate_count",
     "factorize",
@@ -101,7 +96,6 @@ __all__ = [
     "series_coeffs",
     "u_reversed",
     "PrecisionExhaustedError",
-    "chebyshev_roots",
     "count_spectral",
     "empirical_rate",
     "growth_rate",

@@ -27,7 +27,7 @@ from .diagram import (
     count_dp,
     count_matrix_power,
 )
-from .dyck import EnumerationBudgetError, endpoint_counts, enumerate_count
+from .dyck import MAX_LENGTH, endpoint_counts, enumerate_count
 from .genfunc import LinearRecurrence, decimate, gf_closed_form, recurrence_from_gf, series_coeffs
 from .spectral import (
     PrecisionExhaustedError,
@@ -141,7 +141,8 @@ def table_to_csv(table: CountTable) -> str:
     lines = ["j,i,count"]
     for (i, j) in sorted(table.entries, key=lambda key: (key[1], key[0])):
         lines.append(f"{j},{i},{table.entries[(i, j)]}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def table_to_json(table: CountTable) -> str:
@@ -164,8 +165,8 @@ def table_to_pretty(table: CountTable) -> str:
             f"pretty table for k={table.k}, jmax={table.jmax} needs {cells} cells,"
             f" budget is {MAX_ENTRIES}"
         )
-    width = max((len(str(c)) for c in table.entries.values()), default=1)
-    width = max(width, len(str(table.jmax)))
+    # counts are nonnegative, so the largest is the widest
+    width = max(len(str(max(table.entries.values(), default=0))), len(str(table.jmax)))
     lines = []
     for i in range(table.k, -1, -1):
         cells = []
@@ -177,7 +178,8 @@ def table_to_pretty(table: CountTable) -> str:
         lines.append(f"{i:>3} | " + " ".join(cells).rstrip())
     lines.append("----+-" + "-" * ((width + 1) * (table.jmax + 1) - 1))
     lines.append("  j | " + " ".join(str(j).rjust(width) for j in range(table.jmax + 1)))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _cmd_table(args) -> int:
@@ -225,7 +227,8 @@ def _cmd_gf(args) -> int:
 
 def _cmd_residues(args) -> int:
     dec = residue_decomposition(args.k, args.i, bits=args.bits)
-    digits = max(15, args.bits // 4)
+    # no more digits than the precision holds
+    digits = min(max(15, args.bits // 4), mpmath.libmp.prec_to_dps(args.bits))
     for r, (weight, pole) in enumerate(dec.terms, start=1):
         print(f"{r} {mpmath.nstr(weight, digits)} {mpmath.nstr(pole, digits)}")
     return 0
@@ -289,8 +292,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("need at least two backends to compare")
     if len(set(backends)) != len(backends):
         raise ValueError("duplicate backend names")
-    if "dyck" in backends and args.jmax > 26:
-        raise ValueError("the dyck backend enumerates at most 26 steps; lower --jmax")
+    if "dyck" in backends and args.jmax > MAX_LENGTH:
+        raise ValueError(f"the dyck backend enumerates at most {MAX_LENGTH} steps; lower --jmax")
     tasks = [(k, args.jmax, backends) for k in range(args.kmax + 1)]
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(tasks) > 1:
@@ -376,7 +379,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (ValueError, TableBudgetError, EnumerationBudgetError, PrecisionExhaustedError) as exc:
+    except (ValueError, TableBudgetError, PrecisionExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -21,8 +21,7 @@ def count_unbounded(i: int, j: int) -> int:
     The ballot-style closed form ((i+1)/(j+1)) * C(j+1, (j-i)/2), which is
     an exact integer; 0 when parity or i > j rules the endpoint out.
     """
-    if i < 0 or j < 0:
-        raise ValueError("i and j must be nonnegative")
+    _check_nonneg(i=i, j=j)
     if i > j or (i + j) % 2:
         return 0
     return (i + 1) * math.comb(j + 1, (j - i) // 2) // (j + 1)
@@ -30,8 +29,7 @@ def count_unbounded(i: int, j: int) -> int:
 
 def catalan(n: int) -> int:
     """The n-th Catalan number C(2n, n) / (n+1): axis counts count_unbounded(0, 2n)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_nonneg(n=n)
     return math.comb(2 * n, n) // (n + 1)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import add
 
 
-MAX_ENTRIES = 1_000_000  # default budget of a table, in vertices (or cells of a layout)
+MAX_ENTRIES = 1_000_000  # budget of a table, in vertices (or cells of a layout)
 
 
 class TableBudgetError(RuntimeError):
@@ -95,17 +95,17 @@ def table_size(k: int, jmax: int) -> int:
     return total
 
 
-def build_table(k: int, jmax: int, *, max_entries: int = MAX_ENTRIES) -> CountTable:
+def build_table(k: int, jmax: int) -> CountTable:
     """Tabulate every count with j <= jmax: the vertices of dp_columns(k, jmax).
 
     Raises TableBudgetError before allocating anything if the table would
-    hold more than ``max_entries`` vertices.
+    hold more than MAX_ENTRIES vertices.
     """
-    _check_nonneg(k=k, jmax=jmax, max_entries=max_entries)
+    _check_nonneg(k=k, jmax=jmax)
     need = table_size(k, jmax)
-    if need > max_entries:
+    if need > MAX_ENTRIES:
         raise TableBudgetError(
-            f"table for k={k}, jmax={jmax} needs {need} entries, budget is {max_entries}"
+            f"table for k={k}, jmax={jmax} needs {need} entries, budget is {MAX_ENTRIES}"
         )
     entries = {
         (i, j): col[i]
@@ -158,19 +158,3 @@ def count_matrix_power(k: int, i: int, j: int) -> int:
     if i > level:
         return 0
     return adjacency_power_row(level, j)[i]
-
-
-def degrees(k: int, i: int, j: int) -> tuple:
-    """(indegree, outdegree) of the vertex (i, j), from the arc rule itself.
-
-    Raises ValueError when (i, j) is not a vertex.  The origin has degrees
-    (0, 1) for k >= 1 and (0, 0) for k = 0; vertices pinned by the boundary
-    (bottom row, top row, or the leading diagonal) lose one neighbour on the
-    pinched side and interior vertices have degrees (2, 2).
-    """
-    _check_nonneg(k=k)
-    if not is_vertex(k, i, j):
-        raise ValueError(f"({i}, {j}) is not a vertex of the level-{k} diagram")
-    indeg = sum(is_vertex(k, i + d, j - 1) for d in (-1, 1))
-    outdeg = sum(is_vertex(k, i + d, j + 1) for d in (-1, 1))
-    return (indeg, outdeg)

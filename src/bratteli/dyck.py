@@ -14,28 +14,20 @@ of the generating function.
 from .diagram import _check_nonneg
 
 
-class EnumerationBudgetError(RuntimeError):
-    """Raised when backtracking visits more nodes than the caller allowed."""
+MAX_LENGTH = 26  # enumerate_count's cap on j: the search tree has up to 2**j leaves
 
 
-def endpoint_counts(k: int, length: int, budget: int | None = None) -> list:
+def endpoint_counts(k: int, length: int) -> list:
     """Tally of endpoint heights over all bounded paths of the given length.
 
     Returns a list c with c[h] = number of paths of exactly ``length`` steps
-    staying in [0, k] and ending at height h.  ``budget`` caps the number of
-    search-tree nodes visited.
+    staying in [0, k] and ending at height h.  Nothing caps the search; the
+    caller bounds ``length`` (enumerate_count by MAX_LENGTH).
     """
     _check_nonneg(k=k, length=length)
     counts = [0] * (k + 1)
-    visited = 0
 
     def walk(h: int, left: int) -> None:
-        nonlocal visited
-        visited += 1
-        if budget is not None and visited > budget:
-            raise EnumerationBudgetError(
-                f"enumeration budget {budget} exhausted (k={k}, length={length})"
-            )
         if left == 0:
             counts[h] += 1
             return
@@ -48,29 +40,19 @@ def endpoint_counts(k: int, length: int, budget: int | None = None) -> list:
     return counts
 
 
-def enumerate_count(
-    k: int, i: int, j: int, *, max_length: int = 26, budget: int | None = None
-) -> int:
+def enumerate_count(k: int, i: int, j: int) -> int:
     """Count paths from the origin to (i, j) by exhaustive backtracking.
 
     The search explores every bounded prefix (u before d, so enumeration
     order is lexicographic) and checks the endpoint at depth j, at level
     min(k, j) since no path of j steps climbs higher.  ``j`` must not exceed
-    ``max_length`` (default 26) since the tree has up to 2**j leaves;
-    ``budget`` additionally caps visited nodes and raises
-    EnumerationBudgetError naming the query when exhausted.
+    MAX_LENGTH (26) since the tree has up to 2**j leaves.
     """
     _check_nonneg(k=k, i=i, j=j)
-    if j > max_length:
-        raise ValueError(f"j={j} exceeds the enumeration cap of {max_length} steps")
+    if j > MAX_LENGTH:
+        raise ValueError(f"j={j} exceeds the enumeration cap of {MAX_LENGTH} steps")
     level = min(k, j)
-    try:
-        counts = endpoint_counts(level, j, budget)
-    except EnumerationBudgetError:
-        raise EnumerationBudgetError(
-            f"enumeration budget {budget} exhausted while counting (k={k}, i={i}, j={j})"
-        ) from None
-    return counts[i] if i <= level else 0
+    return endpoint_counts(level, j)[i] if i <= level else 0
 
 
 def iter_paths(k: int, length: int):

@@ -19,6 +19,8 @@ divides because denominators are normalized to constant term 1.
 from dataclasses import dataclass
 from math import gcd
 
+from .diagram import _check_nonneg
+
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers
@@ -299,7 +301,8 @@ def gf_product_form(k: int, i: int) -> RationalGF:
     level, one x per climbing step: the last-departure factorization made
     algebra.  Requires 0 <= i <= k.
     """
-    if not 0 <= i <= k:
+    _check_nonneg(k=k, i=i)
+    if i > k:
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     g = gf_inflate(bounded_dyck_gf(k + 1))
     for r in range(1, i + 1):
@@ -313,7 +316,8 @@ def gf_closed_form(k: int, i: int) -> RationalGF:
     x**i times the reversed Chebyshev polynomial of degree k-i over the one
     of degree k+1.  Identical as a series to gf_product_form(k, i).
     """
-    if not 0 <= i <= k:
+    _check_nonneg(k=k, i=i)
+    if i > k:
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     return make_gf(poly_shift(u_reversed(k - i), i), u_reversed(k + 1))
 
@@ -344,7 +348,8 @@ def decimate(g: RationalGF) -> tuple:
     """Collapse a parity-supported series: returns (h, p) with h in t = x**2.
 
     Requires an even denominator and a numerator supported on a single
-    parity p; then coefficient m of h equals coefficient 2m + p of g.
+    parity p; then coefficient m of h equals coefficient 2m + p of g.  g is
+    taken as reduced, as make_gf returns it, and then so is h.
     """
     if any(g.den[t] for t in range(1, len(g.den), 2)):
         raise ValueError("denominator is not even")
@@ -352,7 +357,8 @@ def decimate(g: RationalGF) -> tuple:
     if len(support) > 1:
         raise ValueError("numerator mixes parities")
     p = support.pop() if support else 0
-    return make_gf(list(g.num[p::2]), list(g.den[0::2])), p
+    # reduced g, reduced halves: a common factor c(t) would divide g's num and den as c(x**2)
+    return RationalGF(tuple(g.num[p::2]), tuple(g.den[0::2])), p
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ def _angles(k: int, bits: int) -> tuple:
     with mpmath.workprec(bits):
         pi = +mpmath.pi
         for m in range(n // 2 + 1):
-            c, s = mpmath.cos_sin(pi * m / n)
+            # theta = pi/2 (even k) has the exact pole 0
+            c, s = mpmath.cos_sin(pi * m / n) if 2 * m < n else (mpmath.mpf(0), mpmath.mpf(1))
             sines[n - m], sines[m] = s, s
             cosines[n - m], cosines[m] = -c, c
         poles = tuple(2 * c for c in cosines[1:n])
@@ -73,15 +74,6 @@ def _weights(k: int, i: int, bits: int, count: int) -> list:
         s = -sines[m] if turns % 2 else sines[m]  # sin(x + pi) = -sin(x)
         out.append((2 * sines[r] * s / (k + 2), poles[r - 1]))
     return out
-
-
-def chebyshev_roots(m: int, bits: int = 53) -> list:
-    """The m roots of U_m, namely cos(r pi/(m+1)) for r = 1..m, descending."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    with mpmath.workprec(bits):
-        pi = +mpmath.pi
-        return [mpmath.cos(pi * r / (m + 1)) for r in range(1, m + 1)]
 
 
 def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposition:

@@ -7,9 +7,10 @@ import mpmath
 import pytest
 
 from bratteli import cli, diagram, dyck, spectral
-from bratteli.closed_forms import closed_form
+from bratteli.closed_forms import catalan, closed_form, count_unbounded
 from bratteli.diagram import TableBudgetError, build_table, count_dp, count_matrix_power
 from bratteli.dyck import enumerate_count
+from bratteli.genfunc import gf_closed_form, gf_product_form
 from bratteli.spectral import count_spectral, empirical_rate, growth_rate, residue_decomposition
 
 
@@ -129,6 +130,24 @@ def test_spectral_functions_share_one_input_contract(args):
             call()
 
 
+@pytest.mark.parametrize("args", BAD_INPUTS, ids=repr)
+def test_closed_form_functions_share_one_input_contract(args):
+    # the one bad value of each triple, in every integer argument
+    bad = next(v for v in args if type(v) is not int or v < 0)
+    calls = [
+        lambda: count_unbounded(bad, 4),
+        lambda: count_unbounded(0, bad),
+        lambda: catalan(bad),
+        lambda: gf_closed_form(bad, 0),
+        lambda: gf_closed_form(3, bad),
+        lambda: gf_product_form(bad, 0),
+        lambda: gf_product_form(3, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_count_dyck_cap_is_domain_error():
     code, _, err = run(["count", "--k", "2", "--i", "0", "--j", "30", "--backend", "dyck"])
     assert code == 2
@@ -228,6 +247,17 @@ def test_residues_weights_sum_to_one():
     with mpmath.workprec(96):
         total = sum(mpmath.mpf(row[1]) for row in rows)
         assert abs(total - 1) < mpmath.mpf(10) ** -20
+
+
+def test_residues_print_exact_zero_poles_and_held_digits():
+    # k = 4: the pole at theta = pi/2 is exactly 0
+    code, out, _ = run(["residues", "--k", "4", "--i", "2"])
+    assert code == 0
+    assert out.split("\n")[2].split()[2] == "0.0"
+    # 20 bits hold 5 digits, so the weight 1/2 prints as 0.5
+    code, out, _ = run(["residues", "--k", "1", "--i", "0", "--bits", "20"])
+    assert code == 0
+    assert [row.split()[1] for row in out.strip().split("\n")] == ["0.5", "0.5"]
 
 
 def test_rate_output():

@@ -1,5 +1,6 @@
 import pytest
 
+from bratteli import diagram
 from bratteli.diagram import (
     CountTable,
     TableBudgetError,
@@ -7,7 +8,6 @@ from bratteli.diagram import (
     build_table,
     count_dp,
     count_matrix_power,
-    degrees,
     dp_columns,
     is_vertex,
     table_size,
@@ -93,13 +93,15 @@ def test_build_table_matches_count_dp():
             assert ((i, j) in t.entries) == is_vertex(3, i, j)
 
 
-def test_table_size_and_budget():
+def test_table_size_and_budget(monkeypatch):
     # k=2, jmax=4: heights 0 and 2 admit three and two even lengths, height 1
     # two odd ones
     assert table_size(2, 4) == 7
     assert len(build_table(2, 4).entries) == 7
-    with pytest.raises(TableBudgetError):
-        build_table(2, 4, max_entries=6)
+    with monkeypatch.context() as m:
+        m.setattr(diagram, "MAX_ENTRIES", 6)
+        with pytest.raises(TableBudgetError):
+            build_table(2, 4)
     big = table_size(10, 200)
     assert len(build_table(10, 200).entries) == big
 
@@ -115,42 +117,6 @@ def test_matrix_power_matches_dp():
             for i in range(k + 1):
                 assert row[i] == count_dp(k, i, j), (k, i, j)
                 assert count_matrix_power(k, i, j) == row[i]
-
-
-def _arc_set(k, jmax):
-    # independent derivation of the arc structure for degree checks
-    arcs = set()
-    for j in range(jmax + 1):
-        for i in range(k + 1):
-            if not is_vertex(k, i, j):
-                continue
-            for d in (-1, 1):
-                if is_vertex(k, i + d, j + 1):
-                    arcs.add(((i, j), (i + d, j + 1)))
-    return arcs
-
-
-def test_degrees_examples():
-    assert degrees(2, 0, 0) == (0, 1)
-    assert degrees(4, 2, 4) == (2, 2)
-    assert degrees(3, 3, 5) == (1, 1)
-    assert degrees(0, 0, 0) == (0, 0)  # k = 0: a single isolated vertex
-    with pytest.raises(ValueError):
-        degrees(3, 1, 2)  # parity
-    with pytest.raises(ValueError):
-        degrees(2, 3, 5)  # above the band
-
-
-def test_degrees_against_arc_enumeration():
-    for k in range(0, 5):
-        arcs = _arc_set(k, 10)
-        for j in range(9 + 1):
-            for i in range(k + 1):
-                if not is_vertex(k, i, j):
-                    continue
-                indeg = sum(1 for a in arcs if a[1] == (i, j))
-                outdeg = sum(1 for a in arcs if a[0] == (i, j))
-                assert degrees(k, i, j) == (indeg, outdeg), (k, i, j)
 
 
 def test_count_table_equality():

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from bratteli.diagram import count_dp
 from bratteli.dyck import (
-    EnumerationBudgetError,
     endpoint_counts,
     enumerate_count,
     factorize,
@@ -38,16 +37,6 @@ def test_endpoint_counts_row():
 def test_length_cap():
     with pytest.raises(ValueError):
         enumerate_count(2, 0, 27)
-    # the cap is a default, not a law: k = 1 keeps the tree tiny
-    assert enumerate_count(1, 1, 27, max_length=28) == 1
-
-
-def test_budget():
-    with pytest.raises(EnumerationBudgetError) as err:
-        enumerate_count(2, 0, 20, budget=100)
-    assert "k=2" in str(err.value) and "j=20" in str(err.value)
-    # a generous budget changes nothing
-    assert enumerate_count(2, 0, 10, budget=10_000) == count_dp(2, 0, 10)
 
 
 def test_iter_paths_order_and_counts():

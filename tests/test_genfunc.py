@@ -196,6 +196,15 @@ def test_decimate():
         decimate(make_gf([1], [1, -1]))  # odd denominator
 
 
+def test_decimate_halves_are_already_reduced():
+    # decimate skips make_gf: the halves of a reduced fraction are reduced
+    for k in range(41):
+        for i in range(k + 1):
+            g = gf_closed_form(k, i)
+            h, p = decimate(g)
+            assert h == make_gf(list(g.num[p::2]), list(g.den[0::2])), (k, i)
+
+
 def test_recurrence_extraction():
     rec = recurrence_from_gf(make_gf([1, -1], [1, -2]))
     assert rec.order == 1 and rec.coeffs == (2,)

@@ -6,7 +6,6 @@ from bratteli.diagram import build_table, count_dp
 from bratteli.genfunc import chebyshev_u, poly_eval
 from bratteli.spectral import (
     PrecisionExhaustedError,
-    chebyshev_roots,
     count_spectral,
     empirical_rate,
     growth_rate,
@@ -14,12 +13,18 @@ from bratteli.spectral import (
 )
 
 
+def _chebyshev_roots(m, bits):
+    # the m roots cos(r pi/(m+1)) of U_m, descending: the poles of level m - 1, halved
+    dec = residue_decomposition(m - 1, 0, bits=bits)
+    return [mpmath.ldexp(pole, -1) for _, pole in dec.terms]
+
+
 def test_roots():
-    roots = chebyshev_roots(2, bits=64)
+    roots = _chebyshev_roots(2, bits=64)
     assert abs(roots[0] - 0.5) < 1e-18
     assert abs(roots[1] + 0.5) < 1e-18
     for m in range(1, 10):
-        roots = chebyshev_roots(m, bits=113)
+        roots = _chebyshev_roots(m, bits=113)
         assert all(a > b for a, b in zip(roots, roots[1:]))  # strictly descending
         poly = chebyshev_u(m)
         with mpmath.workprec(113):
