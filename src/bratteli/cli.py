@@ -10,12 +10,8 @@ no colour codes, so NO_COLOR always holds by construction.
 """
 
 import argparse
-import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-
-import mpmath
 
 from .diagram import (
     MAX_ENTRIES,
@@ -115,18 +111,19 @@ def count_via(backend: str, k: int, i: int, j: int) -> int:
         raise PrecisionExhaustedError(str(exc).replace(f"(k={level},", f"(k={k},", 1)) from None
 
 
-def _pick_auto(k: int, i: int, j: int, paranoid: bool) -> str:
+def _pick_auto(k: int, j: int, paranoid: bool) -> str:
     if paranoid and j <= 14:
         return "dyck"
-    if j >= 100 and i <= k:
-        return "spectral"
-    return "dp"
+    # measured over levels 2..64 and j = 100..10**4: matrix beats dp up to level
+    # about sqrt(j / 12), at most 10; spectral was the slowest exact backend throughout
+    level = min(k, j)
+    return "matrix" if level <= 10 and 12 * level * level <= j else "dp"
 
 
 def _cmd_count(args) -> int:
     backend = args.backend
     if backend not in BACKENDS:  # auto
-        backend = _pick_auto(args.k, args.i, args.j, args.paranoid)
+        backend = _pick_auto(args.k, args.j, args.paranoid)
     if args.verbose:
         print(f"backend: {backend}", file=sys.stderr)
     print(count_via(backend, args.k, args.i, args.j))
@@ -146,11 +143,12 @@ def table_to_csv(table: CountTable) -> str:
 
 
 def table_to_json(table: CountTable) -> str:
-    entries = [
-        {"i": i, "j": j, "count": str(table.entries[(i, j)])}
-        for (i, j) in sorted(table.entries, key=lambda key: (key[1], key[0]))
-    ]
-    return json.dumps({"k": table.k, "jmax": table.jmax, "entries": entries}) + "\n"
+    # json.dumps's layout in one join: counts are digit strings, so nothing needs escaping
+    rows = (
+        f'{", " if n else ""}{{"i": {i}, "j": {j}, "count": "{table.entries[(i, j)]}"}}'
+        for n, (i, j) in enumerate(sorted(table.entries, key=lambda key: (key[1], key[0])))
+    )
+    return "".join([f'{{"k": {table.k}, "jmax": {table.jmax}, "entries": [', *rows, "]}\n"])
 
 
 def table_to_pretty(table: CountTable) -> str:
@@ -226,6 +224,7 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_residues(args) -> int:
+    import mpmath
     dec = residue_decomposition(args.k, args.i, bits=args.bits)
     # no more digits than the precision holds
     digits = min(max(15, args.bits // 4), mpmath.libmp.prec_to_dps(args.bits))
@@ -235,6 +234,7 @@ def _cmd_residues(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    import mpmath
     bits = max(128, 4 * args.digits)
     exact = growth_rate(args.k, bits=bits)
     print("exact", mpmath.nstr(exact, args.digits))
@@ -297,6 +297,7 @@ def _cmd_verify(args) -> int:
     tasks = [(k, args.jmax, backends) for k in range(args.kmax + 1)]
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_verify_task, tasks))
     else:

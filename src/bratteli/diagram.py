@@ -155,6 +155,6 @@ def count_matrix_power(k: int, i: int, j: int) -> int:
     """
     _check_nonneg(k=k, i=i, j=j)
     level = min(k, j)
-    if i > level:
+    if not is_vertex(level, i, j):
         return 0
     return adjacency_power_row(level, j)[i]

@@ -19,12 +19,11 @@ consecutive precisions (one doubling apart).  Agreement of two rungs is a
 heuristic, not a proof that the integer is right.
 
 mpmath supplies the arbitrary-precision reals; everything else is explicit.
+It is imported at first use, so ``import bratteli`` stays cheap.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import mpmath
 
 from .diagram import _check_nonneg, count_dp, is_vertex
 
@@ -52,6 +51,7 @@ def _angles(k: int, bits: int) -> tuple:
     # sin(m pi/(k+2)) for m = 0..k+1 and the poles 2 cos(r pi/(k+2)) for r = 1..k+1,
     # evaluated for m <= (k+2)/2 only and mirrored by theta -> pi - theta; the
     # direct value is stored last, so the middle angle m = (k+2)/2 keeps its own
+    import mpmath
     n = k + 2
     sines, cosines = [None] * (n + 1), [None] * (n + 1)
     with mpmath.workprec(bits):
@@ -86,6 +86,7 @@ def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposit
     _check_nonneg(k=k, i=i)
     if i > k:
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
+    import mpmath
     with mpmath.workprec(bits):
         terms = tuple(_weights(k, i, bits, k + 1))
     return SpectralDecomposition(k=k, i=i, bits=bits, terms=terms)
@@ -105,6 +106,7 @@ def count_spectral(k: int, i: int, j: int) -> int:
         return 0
     if j == 0:
         return 1  # the empty path: the halved sum leaves out the pole 0, seen only at j = 0
+    import mpmath
     level = min(k, j)
     bits = max(INITIAL_BITS, j + 32)
     last = None
@@ -130,6 +132,7 @@ def count_spectral(k: int, i: int, j: int) -> int:
 def growth_rate(k: int, bits: int = 53):
     """Dominant eigenvalue 2 cos(pi / (k+2)): the asymptotic growth per step."""
     _check_nonneg(k=k)
+    import mpmath
     with mpmath.workprec(bits):
         return 2 * mpmath.cos(mpmath.pi / (k + 2))
 
@@ -151,5 +154,6 @@ def empirical_rate(k: int, i: int, jmax: int, bits: int = 128):
     b = count_dp(k, i, jm - 2)
     if a == 0 or b == 0:
         raise ValueError(f"counts vanish at (k={k}, i={i}); empirical rate undefined")
+    import mpmath
     with mpmath.workprec(bits):
         return mpmath.sqrt(mpmath.mpf(a) / mpmath.mpf(b))

@@ -1,11 +1,16 @@
+import ast
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 
 import mpmath
 import pytest
 
+import bratteli
 from bratteli import cli, diagram, dyck, spectral
 from bratteli.closed_forms import catalan, closed_form, count_unbounded
 from bratteli.diagram import TableBudgetError, build_table, count_dp, count_matrix_power
@@ -164,11 +169,76 @@ def test_auto_backend_choices():
         ["count", "--k", "2", "--i", "0", "--j", "150", "--backend", "auto", "--verbose"]
     )
     assert (code, out.strip()) == (0, str(2 ** 74))
-    assert "backend: spectral" in err
+    assert "backend: matrix" in err
     code, out, err = run(
         ["count", "--k", "2", "--i", "0", "--j", "8", "--backend", "auto", "--verbose"]
     )
     assert "backend: dp" in err
+
+
+# the benchmark's six deep query points, then a grid across the dp/matrix
+# crossover (j = 12 * level**2, up to level 10) with unreachable heights among it
+AUTO_POINTS = [(3, 0, 1880), (5, 4, 9208), (8, 8, 652), (15, 4, 3192), (27, 21, 1107),
+               (48, 20, 5422)] + [
+    (k, i, j)
+    for k, js in [(0, (0, 1)), (1, (1, 12, 13)), (2, (47, 48)), (9, (971, 972)),
+                  (10, (1199, 1200, 3000)), (11, (1452, 3000)), (40, (14, 1200)),
+                  (10**6, (0, 14, 99))]
+    for j in js
+    for i in sorted({0, 1, min(k, j) // 2, min(k, j), k + 1})
+]
+
+
+def test_auto_never_picks_spectral_and_counts_exactly():
+    picked = set()
+    for k, i, j in AUTO_POINTS:
+        code, out, err = run(
+            ["count", "--k", str(k), "--i", str(i), "--j", str(j), "--backend", "auto", "--verbose"]
+        )
+        backend = err.removeprefix("backend: ").rstrip("\n")
+        assert backend in ("dp", "matrix"), (k, i, j, err)
+        assert (code, out) == (0, f"{count_dp(k, i, j)}\n"), (k, i, j)
+        picked.add(backend)
+    assert picked == {"dp", "matrix"}
+
+
+# modules that only some commands need: mpmath (spectral, residues, rate),
+# json (table --format json writes its text directly) and the process pool
+# (verify --jobs > 1)
+HEAVY_MODULES = ("mpmath", "json", "concurrent.futures.process")
+
+
+def _heavy_modules_loaded(argvs: list) -> list:
+    """The HEAVY_MODULES that running main on each argv in a fresh interpreter imports."""
+    code = (
+        "import contextlib, io, sys\n"
+        f"before = {{m for m in {HEAVY_MODULES!r} if m in sys.modules}}\n"
+        "from bratteli.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules and m not in before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bratteli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    return ast.literal_eval(proc.stdout)
+
+
+def test_cheap_commands_import_no_heavy_module():
+    argvs = [
+        ["count", "--k", "3", "--i", "1", "--j", "11"],
+        ["count", "--k", "3", "--i", "1", "--j", "401", "--backend", "auto"],
+        ["count", "--k", "40", "--i", "2", "--j", "400", "--backend", "auto"],
+        ["count", "--k", "4", "--i", "2", "--j", "40", "--backend", "dp"],
+        ["count", "--k", "4", "--i", "2", "--j", "40", "--backend", "matrix"],
+        ["gf", "--k", "5", "--i", "0", "--even"],
+        ["table", "--k", "3", "--jmax", "9", "--format", "json"],
+    ]
+    assert _heavy_modules_loaded(argvs) == []
+    spectral_argv = ["count", "--k", "4", "--i", "2", "--j", "40", "--backend", "spectral"]
+    assert _heavy_modules_loaded([spectral_argv]) == ["mpmath"]
 
 
 def test_table_csv():
@@ -190,6 +260,17 @@ def test_table_json_round_trip():
     assert all(isinstance(e["count"], str) for e in data["entries"])
     parsed = {(e["i"], e["j"]): int(e["count"]) for e in data["entries"]}
     assert parsed == build_table(3, 9).entries
+
+
+@pytest.mark.parametrize("k, jmax", [(0, 0), (0, 6), (1, 1), (3, 9), (12, 40), (40, 12), (2, 300)])
+def test_table_json_is_json_dumps_layout(k, jmax):
+    table = build_table(k, jmax)
+    entries = [
+        {"i": i, "j": j, "count": str(table.entries[(i, j)])}
+        for (i, j) in sorted(table.entries, key=lambda key: (key[1], key[0]))
+    ]
+    want = json.dumps({"k": k, "jmax": jmax, "entries": entries}) + "\n"
+    assert cli.table_to_json(table) == want
 
 
 def test_table_pretty_plain_text(monkeypatch):

@@ -119,6 +119,15 @@ def test_matrix_power_matches_dp():
                 assert count_matrix_power(k, i, j) == row[i]
 
 
+def test_matrix_power_skips_unreachable_targets(monkeypatch):
+    def refuse(k, j):
+        raise AssertionError(f"adjacency_power_row({k}, {j}) for an unreachable target")
+
+    monkeypatch.setattr(diagram, "adjacency_power_row", refuse)
+    assert count_matrix_power(5, 1, 10000) == 0  # wrong parity
+    assert count_matrix_power(5, 7, 10000) == 0  # above the band
+
+
 def test_count_table_equality():
     a = build_table(2, 6)
     b = CountTable(k=2, jmax=6, entries=dict(a.entries))

@@ -40,7 +40,7 @@ GOLDEN = [
     (["count", "--k", "2", "--i", "5", "--j", "7", "--backend", "gf"],
      "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa", "", 0),
     (["count", "--k", "2", "--i", "0", "--j", "150", "--backend", "auto", "--verbose"],
-     "720591bb95eb158485ddb9dfb23091626632d4a9e7322585a11b16f374b04710", "backend: spectral\n", 0),
+     "720591bb95eb158485ddb9dfb23091626632d4a9e7322585a11b16f374b04710", "backend: matrix\n", 0),
     (["count", "--k", "2", "--i", "0", "--j", "8", "--backend", "auto", "--paranoid", "--verbose"],
      "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8", "backend: dyck\n", 0),
     (["count", "--k", "2", "--i", "0", "--j", "30", "--backend", "dyck"],
