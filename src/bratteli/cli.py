@@ -22,6 +22,8 @@ from .diagram import (
     build_table,
     count_dp,
     count_matrix_power,
+    table_size,
+    vertex_heights,
 )
 from .dyck import MAX_LENGTH, endpoint_counts, enumerate_count
 from .genfunc import LinearRecurrence, decimate, gf_closed_form, recurrence_from_gf, series_coeffs
@@ -55,44 +57,39 @@ def _positive(text: str) -> int:
 # backend dispatch
 
 
-def _vertices(k: int, jmax: int) -> list:
-    return [(i, j) for j in range(jmax + 1) for i in range(j % 2, min(k, j) + 1, 2)]
+def _count_gf(k: int, i: int, j: int) -> int:
+    # no path of j steps climbs above height j
+    level = min(k, j)
+    return series_coeffs(gf_closed_form(level, i), j, nonnegative=True)[j] if i <= level else 0
 
 
-def _sweep_columns(column, k: int, jmax: int) -> dict:
-    # column(k, j) gives the counts at every height 0..k for one length j
-    cols = [column(k, j) for j in range(jmax + 1)]
-    return {(i, j): cols[j][i] for (i, j) in _vertices(k, jmax)}
-
-
-def _sweep_gf(k: int, jmax: int) -> dict:
+def _sweep_gf(k: int, jmax: int) -> list:
     series = [series_coeffs(gf_closed_form(k, i), jmax, nonnegative=True) for i in range(k + 1)]
-    return {(i, j): series[i][j] for (i, j) in _vertices(k, jmax)}
+    return list(zip(*series))
 
 
-# name -> (count(k, i, j), sweep(k, jmax) -> {(i, j): count} over every vertex).
-# The entries look the module's functions up when called, so a wrapper
-# installed on this module afterwards sees every call.  The order is the
-# order of --backend's choices and of verify's "choose from" list.
+# name -> (count(k, i, j), sweep(k, jmax) -> columns), where sweep[j][i] is
+# the count at vertex (i, j) for every vertex with j <= jmax.  The entries
+# look the module's functions up when called, so a wrapper installed on this
+# module afterwards sees every call.  The order is the order of --backend's
+# choices and of verify's "choose from" list.
 BACKENDS = {
-    "dp": (lambda k, i, j: count_dp(k, i, j), lambda k, jmax: build_table(k, jmax).entries),
+    "dp": (lambda k, i, j: count_dp(k, i, j), lambda k, jmax: build_table(k, jmax).columns),
     "dyck": (
         lambda k, i, j: enumerate_count(k, i, j),
-        lambda k, jmax: _sweep_columns(endpoint_counts, k, jmax),
+        lambda k, jmax: [endpoint_counts(k, j) for j in range(jmax + 1)],
     ),
-    "gf": (
-        lambda k, i, j: (
-            series_coeffs(gf_closed_form(k, i), j, nonnegative=True)[j] if i <= k else 0
-        ),
-        _sweep_gf,
-    ),
+    "gf": (_count_gf, _sweep_gf),
     "spectral": (
         lambda k, i, j: count_spectral(k, i, j),
-        lambda k, jmax: {(i, j): count_spectral(k, i, j) for (i, j) in _vertices(k, jmax)},
+        lambda k, jmax: [
+            [count_spectral(k, i, j) if (i + j) % 2 == 0 else 0 for i in range(min(k, j) + 1)]
+            for j in range(jmax + 1)
+        ],
     ),
     "matrix": (
         lambda k, i, j: count_matrix_power(k, i, j),
-        lambda k, jmax: _sweep_columns(adjacency_power_row, k, jmax),
+        lambda k, jmax: [adjacency_power_row(k, j) for j in range(jmax + 1)],
     ),
 }
 
@@ -100,15 +97,11 @@ BACKENDS = {
 def count_via(backend: str, k: int, i: int, j: int) -> int:
     """One path count through the named backend.
 
-    No path of j steps climbs above height j, so every backend runs at level
-    min(k, j); an error still names the k that was asked for.
+    Every backend runs at level min(k, j), since no path of j steps climbs
+    higher; an error names the k that was asked for.
     """
     _check_nonneg(k=k, i=i, j=j)
-    level = min(k, j)
-    try:
-        return BACKENDS[backend][0](level, i, j)
-    except PrecisionExhaustedError as exc:
-        raise PrecisionExhaustedError(str(exc).replace(f"(k={level},", f"(k={k},", 1)) from None
+    return BACKENDS[backend][0](k, i, j)
 
 
 def _pick_auto(k: int, j: int, paranoid: bool) -> str:
@@ -136,17 +129,19 @@ def _cmd_count(args) -> int:
 
 def table_to_csv(table: CountTable) -> str:
     lines = ["j,i,count"]
-    for (i, j) in sorted(table.entries, key=lambda key: (key[1], key[0])):
-        lines.append(f"{j},{i},{table.entries[(i, j)]}")
+    for j, col in enumerate(table.columns):
+        lines.extend(f"{j},{i},{col[i]}" for i in vertex_heights(table.k, j))
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 
 
 def table_to_json(table: CountTable) -> str:
-    # json.dumps's layout in one join: counts are digit strings, so nothing needs escaping
+    # json.dumps's layout in one join: counts are digit strings, so nothing needs
+    # escaping, and (0, 0) is the only vertex without a separator before it
     rows = (
-        f'{", " if n else ""}{{"i": {i}, "j": {j}, "count": "{table.entries[(i, j)]}"}}'
-        for n, (i, j) in enumerate(sorted(table.entries, key=lambda key: (key[1], key[0])))
+        f'{", " if j else ""}{{"i": {i}, "j": {j}, "count": "{col[i]}"}}'
+        for j, col in enumerate(table.columns)
+        for i in vertex_heights(table.k, j)
     )
     return "".join([f'{{"k": {table.k}, "jmax": {table.jmax}, "entries": [', *rows, "]}\n"])
 
@@ -164,15 +159,14 @@ def table_to_pretty(table: CountTable) -> str:
             f" budget is {MAX_ENTRIES}"
         )
     # counts are nonnegative, so the largest is the widest
-    width = max(len(str(max(table.entries.values(), default=0))), len(str(table.jmax)))
+    width = max(len(str(max(map(max, table.columns)))), len(str(table.jmax)))
+    blank = " " * width
     lines = []
     for i in range(table.k, -1, -1):
-        cells = []
-        for j in range(table.jmax + 1):
-            if (i, j) in table.entries:
-                cells.append(str(table.entries[(i, j)]).rjust(width))
-            else:
-                cells.append(" " * width)
+        # height i has vertices at lengths i, i + 2, ...
+        cells = [blank] * (table.jmax + 1)
+        for j in range(i, table.jmax + 1, 2):
+            cells[j] = str(table.columns[j][i]).rjust(width)
         lines.append(f"{i:>3} | " + " ".join(cells).rstrip())
     lines.append("----+-" + "-" * ((width + 1) * (table.jmax + 1) - 1))
     lines.append("  j | " + " ".join(str(j).rjust(width) for j in range(table.jmax + 1)))
@@ -261,10 +255,11 @@ def _verify_task(task: tuple) -> tuple:
 def compare_backends(results: list, backends: tuple) -> list:
     """Pair the first backend against each other one.
 
-    ``results`` is a list of (k, {backend: {(i, j): count}}).  Returns one
-    (ref, other, queries, first_mismatch) tuple per pair, where
-    first_mismatch is None or (k, i, j, ref_value, other_value), first in
-    (k, j, i) order.
+    ``results`` is a list of (k, {backend: sweep}), each sweep a list of
+    columns as BACKENDS returns them.  Returns one (ref, other, queries,
+    first_mismatch) tuple per pair, where queries counts the vertices
+    compared and first_mismatch is None or (k, i, j, ref_value,
+    other_value), first in (k, j, i) order.
     """
     ref = backends[0]
     out = []
@@ -273,12 +268,11 @@ def compare_backends(results: list, backends: tuple) -> list:
         first = None
         for k, by_backend in sorted(results, key=lambda item: item[0]):
             a, b = by_backend[ref], by_backend[other]
-            queries += len(a)
+            queries += table_size(k, len(a) - 1)
             if first is None:
-                for (i, j) in sorted(a, key=lambda key: (key[1], key[0])):
-                    if a[(i, j)] != b[(i, j)]:
-                        first = (k, i, j, a[(i, j)], b[(i, j)])
-                        break
+                diffs = ((k, i, j, a[j][i], b[j][i])
+                         for j in range(len(a)) for i in vertex_heights(k, j) if a[j][i] != b[j][i])
+                first = next(diffs, None)
         out.append((ref, other, queries, first))
     return out
 

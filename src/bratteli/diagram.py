@@ -13,7 +13,7 @@ Counts are exact Python integers; they reach 2**(j-1) so machine words and
 floats are never used.
 """
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 
 
@@ -35,6 +35,11 @@ def _check_nonneg(**named: int) -> None:
 def is_vertex(k: int, i: int, j: int) -> bool:
     """True when (i, j) is a vertex of the level-k diagram (reachable from the origin)."""
     return 0 <= i <= k and 0 <= i <= j and (i + j) % 2 == 0
+
+
+def vertex_heights(k: int, j: int) -> range:
+    """The heights i of the vertices (i, j) at length j, in increasing order."""
+    return range(j % 2, min(k, j) + 1, 2)
 
 
 def dp_columns(k: int, jmax: int):
@@ -71,18 +76,27 @@ def count_dp(k: int, i: int, j: int) -> int:
     return col[i]
 
 
-@dataclass
 class CountTable:
-    """All path counts of the level-k diagram up to length jmax.
+    """All path counts of the level-k diagram up to length jmax, as DP columns.
 
-    ``entries`` maps (i, j) to the exact count for every vertex; pairs absent
-    from the mapping are exactly the unreachable ones.  Treat instances as
-    immutable once built.
+    ``columns[j]`` is the column that dp_columns(k, jmax) yields for length
+    j: entry i counts the paths to (i, j), and is 0 unless (i, j) is a
+    vertex.  ``entries`` maps (i, j) to the count of every vertex, built on
+    first use.  Treat instances as immutable once built.
     """
 
-    k: int
-    jmax: int
-    entries: dict = field(default_factory=dict)
+    def __init__(self, k: int, jmax: int, columns: list):
+        self.k = k
+        self.jmax = jmax
+        self.columns = columns
+
+    @cached_property
+    def entries(self) -> dict:
+        return {
+            (i, j): col[i]
+            for j, col in enumerate(self.columns)
+            for i in vertex_heights(self.k, j)
+        }
 
 
 def table_size(k: int, jmax: int) -> int:
@@ -96,7 +110,7 @@ def table_size(k: int, jmax: int) -> int:
 
 
 def build_table(k: int, jmax: int) -> CountTable:
-    """Tabulate every count with j <= jmax: the vertices of dp_columns(k, jmax).
+    """Tabulate every count with j <= jmax: the columns of dp_columns(k, jmax).
 
     Raises TableBudgetError before allocating anything if the table would
     hold more than MAX_ENTRIES vertices.
@@ -107,12 +121,7 @@ def build_table(k: int, jmax: int) -> CountTable:
         raise TableBudgetError(
             f"table for k={k}, jmax={jmax} needs {need} entries, budget is {MAX_ENTRIES}"
         )
-    entries = {
-        (i, j): col[i]
-        for j, col in enumerate(dp_columns(k, jmax))
-        for i in range(j % 2, min(k, j) + 1, 2)
-    }
-    return CountTable(k=k, jmax=jmax, entries=entries)
+    return CountTable(k, jmax, list(dp_columns(k, jmax)))
 
 
 def _mat_mul(a: list, b: list) -> list:

@@ -16,7 +16,7 @@ Everything here is exact integer arithmetic; series extraction never
 divides because denominators are normalized to constant term 1.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .diagram import _check_nonneg
@@ -162,8 +162,7 @@ def poly_gcd(a: list, b: list) -> list:
 # rational generating functions
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(namedtuple("RationalGF", "num den")):
     """A reduced rational power series num/den with den(0) = 1.
 
     num and den are coprime integer polynomials (ascending tuples) with no
@@ -171,8 +170,7 @@ class RationalGF:
     so == is exact series equality.
     """
 
-    num: tuple
-    den: tuple
+    __slots__ = ()
 
 
 def make_gf(num: list, den: list) -> RationalGF:
@@ -365,8 +363,7 @@ def decimate(g: RationalGF) -> tuple:
 # linear recurrences
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(namedtuple("LinearRecurrence", "order coeffs initial")):
     """c_m = sum_t coeffs[t-1] * c_{m-t} for m >= len(initial), seeded by initial.
 
     ``initial`` holds max(order, deg(num) + 1) leading terms so that
@@ -374,9 +371,7 @@ class LinearRecurrence:
     the numerator degree reaches the denominator degree.
     """
 
-    order: int
-    coeffs: tuple
-    initial: tuple
+    __slots__ = ()
 
     def terms(self, n: int) -> list:
         """Replay the recurrence: exact coefficients c_0 .. c_n."""

@@ -22,7 +22,7 @@ mpmath supplies the arbitrary-precision reals; everything else is explicit.
 It is imported at first use, so ``import bratteli`` stays cheap.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .diagram import _check_nonneg, count_dp, is_vertex
@@ -36,14 +36,13 @@ class PrecisionExhaustedError(ArithmeticError):
     """Raised when no stable integer emerges within MAX_BITS of precision."""
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Weights and poles of the count power sum for one (k, i), at fixed precision."""
+class SpectralDecomposition(namedtuple("SpectralDecomposition", "k i bits terms")):
+    """Weights and poles of the count power sum for one (k, i), at fixed precision.
 
-    k: int
-    i: int
-    bits: int
-    terms: tuple  # ((weight, pole), ...) for r = 1..k+1, in r order
+    ``terms`` is ((weight, pole), ...) for r = 1..k+1, in r order.
+    """
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=4096)

@@ -49,8 +49,9 @@ def _report(num, ok, label, elapsed=None):
 
 
 def _sweep_values(k, jmax, backend):
-    """Every in-diagram count for one level, through one backend."""
-    return BACKENDS[backend][1](k, jmax)
+    """Every in-diagram count for one level, through one backend, by vertex."""
+    columns = BACKENDS[backend][1](k, jmax)
+    return {(i, j): col[i] for j, col in enumerate(columns) for i in range(j % 2, min(k, j) + 1, 2)}
 
 
 def test_1_frozen_tables_through_all_five_backends():

@@ -13,7 +13,7 @@ import pytest
 import bratteli
 from bratteli import cli, diagram, dyck, spectral
 from bratteli.closed_forms import catalan, closed_form, count_unbounded
-from bratteli.diagram import TableBudgetError, build_table, count_dp, count_matrix_power
+from bratteli.diagram import TableBudgetError, build_table, count_dp, count_matrix_power, table_size
 from bratteli.dyck import enumerate_count
 from bratteli.genfunc import gf_closed_form, gf_product_form
 from bratteli.spectral import count_spectral, empirical_rate, growth_rate, residue_decomposition
@@ -60,18 +60,36 @@ def test_count_negative_rejected_usage():
     assert code == 2
 
 
+# the call in each backend that allocates by level: dp's columns, the matrix,
+# the enumerator's tally, spectral's angle table and the gf fraction
+LEVEL_CALLS = {
+    "dp": (diagram, "dp_columns"),
+    "matrix": (diagram, "adjacency_power_row"),
+    "dyck": (dyck, "endpoint_counts"),
+    "spectral": (spectral, "_angles"),
+    "gf": (cli, "gf_closed_form"),
+}
+
+
 @pytest.mark.parametrize("backend", list(cli.BACKENDS))
 @pytest.mark.parametrize("j", [0, 1, 5, 12])
 def test_count_via_clamps_k_to_j(monkeypatch, backend, j):
     # D_k(i, j) = D_j(i, j) once k >= j.  An unclamped k = 10**6 would take
     # the matrix backend 8 TB, so the guard fails the test before that.
-    count, sweep = cli.BACKENDS[backend]
+    module, inner = LEVEL_CALLS[backend]
+    real = getattr(module, inner)
 
-    def guarded(level, i, j):
-        assert level <= j, f"{backend} asked at level {level} for {j} steps"
-        return count(level, i, j)
+    def guarded(level, *rest):
+        assert level <= j, f"{backend}: {inner} asked at level {level} for {j} steps"
+        return real(level, *rest)
 
-    monkeypatch.setitem(cli.BACKENDS, backend, (guarded, sweep))
+    def guarded_columns(k, jmax):
+        # dp_columns takes the unclamped k and clamps its band itself
+        for col in real(k, jmax):
+            assert len(col) <= j + 1, f"dp: a column of {len(col)} heights for {j} steps"
+            yield col
+
+    monkeypatch.setattr(module, inner, guarded_columns if backend == "dp" else guarded)
     for i in range(j + 2):
         assert cli.count_via(backend, 10**6, i, j) == count_dp(j, i, j), (i, j)
 
@@ -204,8 +222,9 @@ def test_auto_never_picks_spectral_and_counts_exactly():
 
 # modules that only some commands need: mpmath (spectral, residues, rate),
 # json (table --format json writes its text directly) and the process pool
-# (verify --jobs > 1)
-HEAVY_MODULES = ("mpmath", "json", "concurrent.futures.process")
+# (verify --jobs > 1), and modules that no command needs: dataclasses and
+# the inspect it imports
+HEAVY_MODULES = ("mpmath", "json", "concurrent.futures.process", "dataclasses", "inspect")
 
 
 def _heavy_modules_loaded(argvs: list) -> list:
@@ -262,15 +281,52 @@ def test_table_json_round_trip():
     assert parsed == build_table(3, 9).entries
 
 
-@pytest.mark.parametrize("k, jmax", [(0, 0), (0, 6), (1, 1), (3, 9), (12, 40), (40, 12), (2, 300)])
+TABLE_SHAPES = [(0, 0), (0, 6), (1, 1), (3, 9), (12, 40), (40, 12), (2, 300)]
+
+
+def _vertex_order(table):
+    return sorted(table.entries, key=lambda key: (key[1], key[0]))
+
+
+@pytest.mark.parametrize("k, jmax", TABLE_SHAPES)
 def test_table_json_is_json_dumps_layout(k, jmax):
     table = build_table(k, jmax)
     entries = [
-        {"i": i, "j": j, "count": str(table.entries[(i, j)])}
-        for (i, j) in sorted(table.entries, key=lambda key: (key[1], key[0]))
+        {"i": i, "j": j, "count": str(table.entries[(i, j)])} for (i, j) in _vertex_order(table)
     ]
     want = json.dumps({"k": k, "jmax": jmax, "entries": entries}) + "\n"
     assert cli.table_to_json(table) == want
+
+
+@pytest.mark.parametrize("k, jmax", TABLE_SHAPES)
+def test_table_csv_matches_vertex_lookup(k, jmax):
+    # the reference reads the vertex mapping, not the columns the CLI writes from
+    table = build_table(k, jmax)
+    rows = [f"{j},{i},{table.entries[(i, j)]}\n" for (i, j) in _vertex_order(table)]
+    assert cli.table_to_csv(table) == "".join(["j,i,count\n", *rows])
+
+
+@pytest.mark.parametrize("k, jmax", TABLE_SHAPES)
+def test_table_pretty_matches_vertex_lookup(k, jmax):
+    # the reference looks every cell up in the vertex mapping
+    table = build_table(k, jmax)
+    width = max(len(str(max(table.entries.values()))), len(str(jmax)))
+    lines = []
+    for i in range(k, -1, -1):
+        cells = [str(table.entries[(i, j)]).rjust(width) if (i, j) in table.entries else " " * width
+                 for j in range(jmax + 1)]
+        lines.append(f"{i:>3} | " + " ".join(cells).rstrip())
+    lines.append("----+-" + "-" * ((width + 1) * (jmax + 1) - 1))
+    lines.append("  j | " + " ".join(str(j).rjust(width) for j in range(jmax + 1)))
+    assert cli.table_to_pretty(table) == "\n".join(lines) + "\n"
+
+
+def test_table_writers_leave_the_vertex_mapping_unbuilt():
+    table = build_table(12, 40)
+    for write in (cli.table_to_csv, cli.table_to_json, cli.table_to_pretty):
+        write(table)
+    assert "entries" not in vars(table)
+    assert table.entries is table.entries and len(table.entries) == table_size(12, 40)
 
 
 def test_table_pretty_plain_text(monkeypatch):
@@ -394,9 +450,8 @@ def test_verify_flag_validation():
 def test_verify_reports_first_mismatch(monkeypatch):
     def fake_task(task):
         k, jmax, backends = task
-        good = {(0, 0): 1, (1, 1): 1, (0, 2): 1}
-        bad = dict(good)
-        bad[(0, 2)] = 7
+        good = [[1], [0], [1]]  # level 0: the vertices (0, 0) and (0, 2)
+        bad = [[1], [0], [7]]
         return k, {"dp": good, "matrix": bad}
 
     monkeypatch.setattr(cli, "_verify_task", fake_task)
@@ -408,12 +463,17 @@ def test_verify_reports_first_mismatch(monkeypatch):
 
 
 def test_compare_backends_orders_mismatches_canonically():
+    # columns to length 2; the sweeps differ at level 2 and, at level 1, at
+    # (i, j) = (1, 1) and (0, 2): the first mismatch is the lowest k, then
+    # the lowest (j, i).  Only vertices are compared, so level 0's (0, 1)
+    # is not, and every vertex counts as a query (2 + 3 + 4)
     results = [
-        (1, {"dp": {(1, 1): 1, (1, 3): 2}, "gf": {(1, 1): 9, (1, 3): 2}}),
-        (0, {"dp": {(0, 0): 1}, "gf": {(0, 0): 1}}),
+        (2, {"dp": [[1, 0, 0], [0, 1, 0], [1, 0, 1]], "gf": [[5, 0, 0], [0, 1, 0], [1, 0, 1]]}),
+        (1, {"dp": [[1, 0], [0, 1], [1, 0]], "gf": [[1, 0], [0, 9], [8, 0]]}),
+        (0, {"dp": [[1], [0], [1]], "gf": [[1], [3], [1]]}),
     ]
     pairs = cli.compare_backends(results, ("dp", "gf"))
-    assert pairs == [("dp", "gf", 3, (1, 1, 1, 1, 9))]
+    assert pairs == [("dp", "gf", 9, (1, 1, 1, 1, 9))]
 
 
 def test_usage_errors():

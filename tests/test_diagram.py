@@ -2,7 +2,6 @@ import pytest
 
 from bratteli import diagram
 from bratteli.diagram import (
-    CountTable,
     TableBudgetError,
     adjacency_power_row,
     build_table,
@@ -126,9 +125,3 @@ def test_matrix_power_skips_unreachable_targets(monkeypatch):
     monkeypatch.setattr(diagram, "adjacency_power_row", refuse)
     assert count_matrix_power(5, 1, 10000) == 0  # wrong parity
     assert count_matrix_power(5, 7, 10000) == 0  # above the band
-
-
-def test_count_table_equality():
-    a = build_table(2, 6)
-    b = CountTable(k=2, jmax=6, entries=dict(a.entries))
-    assert a == b
