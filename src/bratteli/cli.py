@@ -175,13 +175,11 @@ def table_to_pretty(table: CountTable) -> str:
 
 
 def _cmd_table(args) -> int:
-    table = build_table(args.k, args.jmax)
-    if args.format == "csv":
-        sys.stdout.write(table_to_csv(table))
-    elif args.format == "json":
-        sys.stdout.write(table_to_json(table))
-    else:
-        sys.stdout.write(table_to_pretty(table))
+    to_text = {"csv": table_to_csv, "json": table_to_json, "pretty": table_to_pretty}[args.format]
+    text = to_text(build_table(args.k, args.jmax))
+    # in 1 MiB slices: one write of the whole text would encode a second full copy
+    for start in range(0, len(text), 1 << 20):
+        sys.stdout.write(text[start:start + (1 << 20)])
     return 0
 
 
@@ -247,9 +245,9 @@ def _cmd_rate(args) -> int:
 
 
 def _verify_task(task: tuple) -> tuple:
-    """Worker: all requested backends over every vertex of one level-k diagram."""
+    """Worker: all requested backends over one level-k diagram, each at level min(k, jmax)."""
     k, jmax, backends = task
-    return k, {backend: BACKENDS[backend][1](k, jmax) for backend in backends}
+    return k, {backend: BACKENDS[backend][1](min(k, jmax), jmax) for backend in backends}
 
 
 def compare_backends(results: list, backends: tuple) -> list:
@@ -374,10 +372,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (ValueError, TableBudgetError, PrecisionExhaustedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, TableBudgetError, PrecisionExhaustedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -101,12 +101,12 @@ class CountTable:
 
 def table_size(k: int, jmax: int) -> int:
     """Number of vertices (i, j) with j <= jmax, without building anything."""
-    total = 0
-    for j in range(jmax + 1):
-        top = min(k, j)
-        if top >= j % 2:
-            total += (top - j % 2) // 2 + 1
-    return total
+    m = min(k, jmax)
+    size = (m // 2) * ((m + 1) // 2) + m + 1  # the triangle j <= m
+    if jmax > k:  # past it, k//2 + 1 heights at each even length and (k+1)//2 at each odd one
+        even, odd = jmax // 2 - k // 2, (jmax + 1) // 2 - (k + 1) // 2
+        size += even * (k // 2 + 1) + odd * ((k + 1) // 2)
+    return size
 
 
 def build_table(k: int, jmax: int) -> CountTable:

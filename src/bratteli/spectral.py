@@ -12,11 +12,10 @@ even the terms of r and k+2-r are equal, so ``count_spectral`` sums the
 r < (k+2)/2 half and doubles it.
 
 Evaluated in binary floating point the sum is only close to the true
-integer, so ``count_spectral`` climbs a precision ladder: it starts at
-max(INITIAL_BITS, j + 32) bits (counts are below 2**j) and accepts a value
-only when the sum lies within ACCEPT_DISTANCE of the same integer at two
-consecutive precisions (one doubling apart).  Agreement of two rungs is a
-heuristic, not a proof that the integer is right.
+integer, so ``count_spectral`` evaluates it once, at a precision where an a
+priori rounding-error bound keeps it within 1/4 of the count: the nearest
+integer is certified.  The bound rests on an angle table whose every sine and
+cosine is checked against an interval enclosure.
 
 mpmath supplies the arbitrary-precision reals; everything else is explicit.
 It is imported at first use, so ``import bratteli`` stays cheap.
@@ -27,13 +26,11 @@ from functools import lru_cache
 
 from .diagram import _check_nonneg, count_dp, is_vertex
 
-INITIAL_BITS = 64  # lowest starting precision of count_spectral's ladder
-MAX_BITS = 1 << 16  # the ladder gives up above this precision
-ACCEPT_DISTANCE = 2.0 ** -16  # a rung counts when its sum is this close to an integer
+MAX_BITS = 1 << 16  # count_spectral refuses a length that needs more precision
 
 
 class PrecisionExhaustedError(ArithmeticError):
-    """Raised when no stable integer emerges within MAX_BITS of precision."""
+    """Raised when no count can be certified within MAX_BITS of precision."""
 
 
 class SpectralDecomposition(namedtuple("SpectralDecomposition", "k i bits terms")):
@@ -48,16 +45,21 @@ class SpectralDecomposition(namedtuple("SpectralDecomposition", "k i bits terms"
 @lru_cache(maxsize=4096)
 def _angles(k: int, bits: int) -> tuple:
     # sin(m pi/(k+2)) for m = 0..k+1 and the poles 2 cos(r pi/(k+2)) for r = 1..k+1,
-    # evaluated for m <= (k+2)/2 only and mirrored by theta -> pi - theta; the
-    # direct value is stored last, so the middle angle m = (k+2)/2 keeps its own
+    # evaluated for m <= (k+2)/2 only and mirrored by theta -> pi - theta (the direct
+    # value is stored last, so the middle angle keeps its own); each is proven within
+    # 2**(4 - bits) of the true value by an mpmath.iv enclosure at the same precision
     import mpmath
     n = k + 2
     sines, cosines = [None] * (n + 1), [None] * (n + 1)
-    with mpmath.workprec(bits):
-        pi = +mpmath.pi
+    with mpmath.workprec(bits), mpmath.ctx_mp.PrecisionManager(mpmath.iv, lambda _: bits, None):
+        pi, eps = +mpmath.pi, mpmath.ldexp(1, 4 - bits)
         for m in range(n // 2 + 1):
-            # theta = pi/2 (even k) has the exact pole 0
-            c, s = mpmath.cos_sin(pi * m / n) if 2 * m < n else (mpmath.mpf(0), mpmath.mpf(1))
+            exact = 2 * m == n  # theta = pi/2 (even k): the pole 0 and the sine 1 need no enclosure
+            c, s = (mpmath.mpf(0), mpmath.mpf(1)) if exact else mpmath.cos_sin(pi * m / n)
+            # one interval cos_sin (mpmath.iv.cos_sin would run it once for each)
+            boxes = () if exact else mpmath.libmp.mpi_cos_sin((mpmath.iv.pi * m / n)._mpi_, bits)
+            if not all(abs(mpmath.iv.make_mpf(box) - v) <= eps for box, v in zip(boxes, (c, s))):
+                raise PrecisionExhaustedError(f"sin/cos off enclosure at k={k}, {bits} bits")
             sines[n - m], sines[m] = s, s
             cosines[n - m], cosines[m] = -c, c
         poles = tuple(2 * c for c in cosines[1:n])
@@ -91,41 +93,43 @@ def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposit
     return SpectralDecomposition(k=k, i=i, bits=bits, terms=terms)
 
 
-def count_spectral(k: int, i: int, j: int) -> int:
-    """Path count via the spectral power sum, once two precisions agree on it.
+def _bits(j: int) -> int:
+    # With u = 2**-bits, the doubled half-spectrum sum is within 2**(j+1) (16 (j+2) + 5) u
+    # of the count, under 1/4 (53/256 to first order) from j + bit_length(j) + 8 bits on:
+    # - _angles proves each sine and cosine within 16u, so lambda within 32u and, as
+    #   |lambda| <= 2, lambda**j within 16 j 2**j u; a weight's two sines add 32u in all;
+    # - five roundings of at most u |w| 2**j: two per weight (the product, / (k+2)),
+    #   lam ** j (mpmath 1.3's mpf_pow_int keeps 4*bitcount(j)+4 guard bits, rounds
+    #   once), the product, and fsum (mpf_sum adds exactly bar terms 2**-2bits below the
+    #   running sum, rounds once); sum |w_r| <= 2/pi < 1 over the half spectrum.
+    # Rounded up to a multiple of 64, nearby lengths share one angle table.
+    return -(-(j + j.bit_length() + 8) // 64) * 64
 
-    Runs at level min(k, j), since no path of j steps climbs higher.
-    Precision starts at max(INITIAL_BITS, j + 32) bits and doubles until the
-    sum lies within ACCEPT_DISTANCE of the same integer twice in a row;
-    PrecisionExhaustedError reports the final residual if MAX_BITS is hit
-    first.  Unreachable targets count zero, as in count_dp.
+
+def count_spectral(k: int, i: int, j: int) -> int:
+    """Path count via the spectral power sum, evaluated once and certified.
+
+    Runs at level min(k, j), since no path of j steps climbs higher, and at
+    about j + log2(j) + 8 bits, where an a priori bound keeps the rounding error
+    below 1/4.  Lengths that need more than MAX_BITS (j > 65512) raise
+    PrecisionExhaustedError.  Unreachable targets count zero, as in count_dp.
     """
     _check_nonneg(k=k, i=i, j=j)
     if not is_vertex(k, i, j):
         return 0
     if j == 0:
         return 1  # the empty path: the halved sum leaves out the pole 0, seen only at j = 0
+    bits = _bits(j)
+    if bits > MAX_BITS:
+        raise PrecisionExhaustedError(
+            f"no stable integer for (k={k}, i={i}, j={j}) within {MAX_BITS} bits"
+            " (last residual: never evaluated)"
+        )
     import mpmath
     level = min(k, j)
-    bits = max(INITIAL_BITS, j + 32)
-    last = None
-    dist = None
-    while bits <= MAX_BITS:
-        with mpmath.workprec(bits):
-            half = _weights(level, i, bits, (level + 1) // 2)
-            total = 2 * mpmath.fsum(w * lam ** j for w, lam in half)
-            nearest = int(mpmath.nint(total))
-            dist = abs(total - nearest)
-            ok = dist < ACCEPT_DISTANCE
-        if ok and last == nearest:
-            return nearest
-        last = nearest if ok else None
-        bits <<= 1
-    residual = "never evaluated" if dist is None else mpmath.nstr(dist, 8)
-    raise PrecisionExhaustedError(
-        f"no stable integer for (k={k}, i={i}, j={j}) within {MAX_BITS} bits"
-        f" (last residual: {residual})"
-    )
+    with mpmath.workprec(bits):
+        half = _weights(level, i, bits, (level + 1) // 2)
+        return int(mpmath.nint(2 * mpmath.fsum(w * lam ** j for w, lam in half)))
 
 
 def growth_rate(k: int, bits: int = 53):

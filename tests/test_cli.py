@@ -89,9 +89,16 @@ def test_count_via_clamps_k_to_j(monkeypatch, backend, j):
             assert len(col) <= j + 1, f"dp: a column of {len(col)} heights for {j} steps"
             yield col
 
-    monkeypatch.setattr(module, inner, guarded_columns if backend == "dp" else guarded)
+    wrapper = guarded_columns if backend == "dp" else guarded
+    monkeypatch.setattr(module, inner, wrapper)
     for i in range(j + 2):
         assert cli.count_via(backend, 10**6, i, j) == count_dp(j, i, j), (i, j)
+    # verify's sweeps run at level min(k, jmax) too; they call the names cli imported
+    if hasattr(cli, inner):
+        monkeypatch.setattr(cli, inner, wrapper)
+    argv = ["verify", "--kmax", "40", "--jmax", str(j), "--backends", "dp,dyck,gf,spectral,matrix",
+            "--jobs", "1"]
+    assert run(argv)[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from bratteli.diagram import (
     dp_columns,
     is_vertex,
     table_size,
+    vertex_heights,
 )
 
 from frozen_tables import K2_TABLE, K3_TABLE
@@ -103,6 +104,13 @@ def test_table_size_and_budget(monkeypatch):
             build_table(2, 4)
     big = table_size(10, 200)
     assert len(build_table(10, 200).entries) == big
+    # the closed form against a count over every length
+    for k in range(60):
+        want = 0
+        for jmax in range(200):
+            want += len(vertex_heights(k, jmax))
+            assert table_size(k, jmax) == want, (k, jmax)
+    assert table_size(2, 10**7) == 15000001
 
 
 def test_matrix_power_matches_dp():

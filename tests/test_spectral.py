@@ -103,20 +103,38 @@ def test_count_spectral_swept_against_dp():
                 assert count_spectral(k, i, j) == rows[(i, j)], (k, i, j)
 
 
-def test_custom_policy_runs(monkeypatch):
-    # a custom ladder (lowest start, lower MAX_BITS) that still leaves room
-    # for one doubling changes nothing
-    monkeypatch.setattr(spectral, "INITIAL_BITS", 64)
-    monkeypatch.setattr(spectral, "MAX_BITS", 1 << 12)
-    assert count_spectral(6, 0, 40) == count_dp(6, 0, 40)
+def test_count_spectral_at_40000_steps():
+    # one evaluation at 40064 bits, inside MAX_BITS
+    assert count_spectral(2, 0, 40000) == count_dp(2, 0, 40000)
+
+
+def test_weakened_precision_is_caught(monkeypatch):
+    # j - 32 bits cannot hold the 86-digit count, so the sweeps against dp
+    # would catch a bound that is too weak
+    monkeypatch.setattr(spectral, "_bits", lambda j: j - 32)
+    assert count_spectral(12, 0, 300) != count_dp(12, 0, 300)
+
+
+def test_angle_outside_its_enclosure_raises(monkeypatch):
+    # a cosine 2**(6 - bits) off its true value is outside the 2**(4 - bits) the bound allows
+    real = mpmath.cos_sin
+
+    def pushed(x):
+        c, s = real(x)
+        return c + mpmath.ldexp(1, 6 - mpmath.mp.prec), s
+
+    monkeypatch.setattr(mpmath, "cos_sin", pushed)
+    spectral._angles.cache_clear()
+    with pytest.raises(PrecisionExhaustedError, match="enclosure"):
+        count_spectral(6, 0, 40)
 
 
 def test_precision_exhaustion(monkeypatch):
-    # stability needs one doubling; a MAX_BITS below it makes the count refuse
+    # j = 60 needs 128 bits; a MAX_BITS below it makes the count refuse
     monkeypatch.setattr(spectral, "MAX_BITS", 96)
     with pytest.raises(PrecisionExhaustedError):
         count_spectral(6, 0, 60)
-    # a MAX_BITS below the starting precision refuses before evaluating anything
+    # the refusal comes before the sum is evaluated
     monkeypatch.setattr(spectral, "MAX_BITS", 64)
     with pytest.raises(PrecisionExhaustedError, match="never evaluated"):
         count_spectral(6, 0, 60)
