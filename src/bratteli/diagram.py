@@ -8,13 +8,13 @@ nonnegative lattice walks of length j with +-1 steps that stay at or below
 height k and end at height i.
 
 Two independent backends live here: a column-by-column dynamic program and
-binary exponentiation of the (k+1) x (k+1) path-graph adjacency matrix.
+binary powering of the path-graph adjacency matrix, folded onto a 2(k+2)-cycle.
 Counts are exact Python integers; they reach 2**(j-1) so machine words and
 floats are never used.
 """
 
 from functools import cached_property
-from operator import add
+from operator import add, mul
 
 
 MAX_ENTRIES = 1_000_000  # budget of a table, in vertices (or cells of a layout)
@@ -124,43 +124,37 @@ def build_table(k: int, jmax: int) -> CountTable:
     return CountTable(k, jmax, list(dp_columns(k, jmax)))
 
 
-def _mat_mul(a: list, b: list) -> list:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for r in range(n):
-        ar = a[r]
-        outr = out[r]
-        for t in range(n):
-            art = ar[t]
-            if art:
-                bt = b[t]
-                for c in range(n):
-                    outr[c] += art * bt[c]
-    return out
+def _square_palindrome(c: list) -> list:
+    # c * c modulo x**n - 1, n = len(c), for a palindromic c (c[e] == c[-e]): the square is
+    # palindromic too, so only its coefficients 0..n/2 are summed
+    n = len(c)
+    half = [sum(map(mul, c, c[e::-1] + c[:e:-1])) for e in range(n // 2 + 1)]
+    return half + half[-2:0:-1]
 
 
 def adjacency_power_row(k: int, j: int) -> list:
-    """Row 0 of A**j where A is the adjacency matrix of the path graph on heights 0..k."""
+    """Row 0 of A**j where A is the adjacency matrix of the path graph on heights 0..k.
+
+    Reflection in the walls -1 and k+1 folds the path onto the cycle of n = 2(k+2) vertices,
+    whose circulant adjacency power is the one list c = (x + 1/x)**j mod x**n - 1: entry i of
+    the row is c[i] - c[-i-2].
+    """
     _check_nonneg(k=k, j=j)
-    n = k + 1
-    power = [[int(r == c) for c in range(n)] for r in range(n)]
-    base = [[int(abs(r - c) == 1) for c in range(n)] for r in range(n)]
-    e = j
-    while e:
-        if e & 1:
-            power = _mat_mul(power, base)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base)
-    return power[0]
+    n = 2 * (k + 2)
+    c = [1] + [0] * (n - 1)
+    for bit in bin(j)[2:]:
+        c = _square_palindrome(c)
+        if bit == "1":  # times x + 1/x
+            c = [c[e - 1] + c[e + 1 - n] for e in range(n)]
+    return [c[i] - c[-i - 2] for i in range(k + 1)]
 
 
 def count_matrix_power(k: int, i: int, j: int) -> int:
     """Entry (0, i) of the j-th power of the path-graph adjacency matrix.
 
     Agrees with count_dp everywhere and, like it, runs at level min(k, j);
-    costs O(min(k, j)**3 log j) big-integer multiplications via binary
-    exponentiation.
+    costs O(min(k, j)**2 log j) big-integer multiplications via binary
+    powering of the folded matrix.
     """
     _check_nonneg(k=k, i=i, j=j)
     level = min(k, j)

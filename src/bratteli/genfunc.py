@@ -10,7 +10,8 @@ paths ending at height i in the level-k diagram:
   per excursion of the last-departure factorization, and
 * a closed form x**i * V_{k-i}(x) / V_{k+1}(x), where V_m is the even
   integer polynomial x**m * U_m(1/(2x)) obtained by reversing the degree-m
-  Chebyshev polynomial of the second kind.
+  Chebyshev polynomial of the second kind, reduced by the identity
+  gcd(U_{m-1}, U_{n-1}) = U_{gcd(m, n)-1}.
 
 Everything here is exact integer arithmetic; series extraction never
 divides because denominators are normalized to constant term 1.
@@ -312,12 +313,15 @@ def gf_closed_form(k: int, i: int) -> RationalGF:
     """Counting series for paths to height i as a single reduced fraction.
 
     x**i times the reversed Chebyshev polynomial of degree k-i over the one
-    of degree k+1.  Identical as a series to gf_product_form(k, i).
+    of degree k+1, each divided by their gcd V_{d-1}, d = gcd(k-i+1, k+2).
+    Identical as a series to gf_product_form(k, i).
     """
     _check_nonneg(k=k, i=i)
     if i > k:
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
-    return make_gf(poly_shift(u_reversed(k - i), i), u_reversed(k + 1))
+    common = u_reversed(gcd(k - i + 1, k + 2) - 1)  # every V_m(0) = 1: den(0) = 1, content 1
+    num, den = (poly_divexact(u_reversed(m), common) for m in (k - i, k + 1))
+    return RationalGF(tuple(poly_shift(num, i)), tuple(den))
 
 
 def series_coeffs(g: RationalGF, n: int, *, nonnegative: bool = False) -> list:

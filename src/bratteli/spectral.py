@@ -136,8 +136,8 @@ def growth_rate(k: int, bits: int = 53):
     """Dominant eigenvalue 2 cos(pi / (k+2)): the asymptotic growth per step."""
     _check_nonneg(k=k)
     import mpmath
-    with mpmath.workprec(bits):
-        return 2 * mpmath.cos(mpmath.pi / (k + 2))
+    with mpmath.workprec(bits):  # at k = 0, 2 cos(pi/2) is 0 exactly, as _angles has it
+        return 2 * mpmath.cos(mpmath.pi / (k + 2)) if k else mpmath.mpf(0)
 
 
 def empirical_rate(k: int, i: int, jmax: int, bits: int = 128):

@@ -196,19 +196,27 @@ def test_auto_backend_choices():
     assert (code, out.strip()) == (0, str(2 ** 74))
     assert "backend: matrix" in err
     code, out, err = run(
-        ["count", "--k", "2", "--i", "0", "--j", "8", "--backend", "auto", "--verbose"]
+        ["count", "--k", "3", "--i", "1", "--j", "7", "--backend", "auto", "--verbose"]
     )
+    assert (code, out) == (0, "13\n")
     assert "backend: dp" in err
 
 
+def test_counts_past_the_digit_limit_print_in_full():
+    # 5,718 digits: past the 4300 that Python allows int -> str by default
+    code, out, err = run(["count", "--k", "10", "--i", "0", "--j", "20000"])
+    assert (code, err) == (0, "")
+    assert out == f"{count_dp(10, 0, 20000)}\n"
+
+
 # the benchmark's six deep query points, then a grid across the dp/matrix
-# crossover (j = 12 * level**2, up to level 10) with unreachable heights among it
+# crossover (j = level**2, up to level 64) with unreachable heights among it
 AUTO_POINTS = [(3, 0, 1880), (5, 4, 9208), (8, 8, 652), (15, 4, 3192), (27, 21, 1107),
                (48, 20, 5422)] + [
     (k, i, j)
-    for k, js in [(0, (0, 1)), (1, (1, 12, 13)), (2, (47, 48)), (9, (971, 972)),
-                  (10, (1199, 1200, 3000)), (11, (1452, 3000)), (40, (14, 1200)),
-                  (10**6, (0, 14, 99))]
+    for k, js in [(0, (0, 1)), (1, (0, 1, 2)), (2, (3, 4)), (9, (80, 81)),
+                  (10, (99, 100, 3000)), (40, (14, 1599, 1600)), (64, (4095, 4096)),
+                  (65, (4225, 5000)), (10**6, (0, 14, 99))]
     for j in js
     for i in sorted({0, 1, min(k, j) // 2, min(k, j), k + 1})
 ]

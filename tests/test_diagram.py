@@ -120,10 +120,13 @@ def test_matrix_power_matches_dp():
     assert count_matrix_power(1, 5, 2) == 0  # i beyond the band
     for k in range(0, 6):
         for j in range(0, 16):
-            row = adjacency_power_row(k, j)
             for i in range(k + 1):
-                assert row[i] == count_dp(k, i, j), (k, i, j)
-                assert count_matrix_power(k, i, j) == row[i]
+                assert count_matrix_power(k, i, j) == count_dp(k, i, j), (k, i, j)
+    # the fold itself: k = 0, both parities, j < k (zeros above height j) and powers
+    # that wrap around the 2(k+2)-cycle
+    for k in range(0, 25):
+        for j, col in enumerate(dp_columns(k, 80)):
+            assert adjacency_power_row(k, j) == col + [0] * (k + 1 - len(col)), (k, j)
 
 
 def test_matrix_power_skips_unreachable_targets(monkeypatch):

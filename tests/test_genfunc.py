@@ -24,6 +24,7 @@ from bratteli.genfunc import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    poly_shift,
     recurrence_from_gf,
     series_coeffs,
     u_reversed,
@@ -150,6 +151,11 @@ def test_product_equals_closed():
     for k in range(0, 11):
         for i in range(0, k + 1):
             assert gf_product_form(k, i) == gf_closed_form(k, i), (k, i)
+    # the gcd identity reduces the closed form exactly as the PRS gcd of make_gf does
+    for k in range(0, 40):
+        for i in range(0, k + 1):
+            prs = make_gf(poly_shift(u_reversed(k - i), i), u_reversed(k + 1))
+            assert gf_closed_form(k, i) == prs, (k, i)
 
 
 def test_series_anchors():

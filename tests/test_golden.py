@@ -70,8 +70,8 @@ GOLDEN = [
      "d40970eb7bf99d672d2b18e99f98d0e36e742b05ad6a5698fe5f2a0cbad8fa97", "", 0),
     (["rate", "--k", "3", "--digits", "10"],
      "59add840b197f800a43d0b4582da24deb15dcff5b9167d2dc4399182c38cb5cb", "", 0),
-    (["rate", "--k", "0"],
-     "25eba21dc42f5fcfaf6459ef435e26236990b3486601f43fc2f16da26d939d61", "", 0),
+    (["rate", "--k", "0"],  # "exact 0.0": 2 cos(pi/2) is 0 exactly, not a rounding of it
+     "bbdd88c30f645b5ccbecaf650bc46dad2f24b449e3641af84e45d51bb595583e", "", 0),
     (["verify", "--kmax", "3", "--jmax", "10", "--jobs", "1",
       "--backends", "dp,dyck,gf,spectral,matrix"],
      "9320d1990e1d911f235dc0f8c79de7f0bdcfacdd8c4d18efa427f5652d3865e5", "", 0),

@@ -146,7 +146,7 @@ def test_growth_rate_values():
         assert abs(growth_rate(2, bits=64) - mpmath.sqrt(2)) < mpmath.mpf(2) ** -60
         golden = (1 + mpmath.sqrt(5)) / 2
         assert abs(growth_rate(3, bits=64) - golden) < mpmath.mpf(2) ** -60
-    assert abs(growth_rate(0, bits=64)) < 1e-18  # 2 cos(pi/2), up to rounding
+    assert growth_rate(0, bits=64) == 0  # 2 cos(pi/2), exactly
 
 
 def test_empirical_rate_anchors():
