@@ -5,14 +5,13 @@ values at k=1, powers of two at k=2, Fibonacci numbers at k=3 (with the
 F_{-1} = 1 extension so the length-0 count works), averaged powers of
 three at k=4, and at k=5 a single cubic recurrence
 a_m = 5 a_{m-1} - 6 a_{m-2} + a_{m-3}.  Once k >= j the height bound never
-binds and the counts are ballot numbers, Catalan numbers on the axis.
+binds and the counts are ballot numbers, Catalan numbers on the axis:
+``count_unbounded`` is the k = infinity entry.
 """
 
 import math
 
 from .diagram import _check_nonneg, is_vertex
-
-UNBOUNDED = math.inf
 
 
 def count_unbounded(i: int, j: int) -> int:
@@ -51,16 +50,13 @@ def _k5_seq(m: int) -> int:
     return seq[m]
 
 
-def closed_form(k, i: int, j: int) -> int:
-    """Path count from the closed form for k in {1, 2, 3, 4, 5} or UNBOUNDED.
+def closed_form(k: int, i: int, j: int) -> int:
+    """Path count from the closed form for k in {1, 2, 3, 4, 5}.
 
     Exactly equal to count_dp(k, i, j) on its domain (any other k raises
-    ValueError); unreachable (i, j) give 0.
+    ValueError; count_unbounded covers k = infinity); unreachable (i, j) give 0.
     """
-    _check_nonneg(i=i, j=j)
-    if k == UNBOUNDED:
-        return count_unbounded(i, j)
-    _check_nonneg(k=k)
+    _check_nonneg(k=k, i=i, j=j)
     if k not in (1, 2, 3, 4, 5):
         raise ValueError(f"no closed form wired up for k={k!r}")
     if not is_vertex(k, i, j):

@@ -32,6 +32,12 @@ def _check_nonneg(**named: int) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
+def _check_height(k: int, i: int) -> None:
+    _check_nonneg(k=k, i=i)
+    if i > k:
+        raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
+
+
 def is_vertex(k: int, i: int, j: int) -> bool:
     """True when (i, j) is a vertex of the level-k diagram (reachable from the origin)."""
     return 0 <= i <= k and 0 <= i <= j and (i + j) % 2 == 0
@@ -113,13 +119,19 @@ def build_table(k: int, jmax: int) -> CountTable:
     """Tabulate every count with j <= jmax: the columns of dp_columns(k, jmax).
 
     Raises TableBudgetError before allocating anything if the table would
-    hold more than MAX_ENTRIES vertices.
+    hold more than MAX_ENTRIES vertices, or counts of more than MAX_ENTRIES
+    * 4096 bits in all (a count of j steps has at most j bits).
     """
     _check_nonneg(k=k, jmax=jmax)
     need = table_size(k, jmax)
     if need > MAX_ENTRIES:
         raise TableBudgetError(
             f"table for k={k}, jmax={jmax} needs {need} entries, budget is {MAX_ENTRIES}"
+        )
+    if need * jmax > MAX_ENTRIES * 4096:
+        raise TableBudgetError(
+            f"table for k={k}, jmax={jmax} needs up to {need * jmax} bits of counts,"
+            f" budget is {MAX_ENTRIES * 4096}"
         )
     return CountTable(k, jmax, list(dp_columns(k, jmax)))
 

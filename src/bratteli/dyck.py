@@ -58,41 +58,21 @@ def enumerate_count(k: int, i: int, j: int) -> int:
 def iter_paths(k: int, length: int):
     """Yield every bounded path of the given length, in lexicographic order (u < d).
 
-    Iterative backtracking with O(length) memory, so enumerating a few
-    million paths does not nest generators.
+    A depth-first walk over an explicit stack of (prefix, height) pairs: the
+    'u' child is pushed last so it is popped first.  It stays lazy, and
+    enumerating a few million paths does not nest generators.
     """
-    if k < 0 or length < 0:
-        raise ValueError("k and length must be nonnegative")
-    if length == 0:
-        yield ""
-        return
-    path: list = []
-    h = 0
-    while True:
+    _check_nonneg(k=k, length=length)
+    stack = [("", 0)]
+    while stack:
+        path, h = stack.pop()
         if len(path) == length:
-            yield "".join(path)
-        else:
-            if h < k:
-                path.append("u")
-                h += 1
-                continue
-            if h > 0:
-                path.append("d")
-                h -= 1
-                continue
-            # k = 0 dead end: no step is legal, fall through to backtrack
-        while path:
-            c = path.pop()
-            if c == "u":
-                h -= 1
-                if h > 0:  # retry this depth with the other step
-                    path.append("d")
-                    h -= 1
-                    break
-            else:
-                h += 1
-        else:
-            return
+            yield path
+            continue
+        if h > 0:
+            stack.append((path + "d", h - 1))
+        if h < k:
+            stack.append((path + "u", h + 1))
 
 
 def heights(path: str) -> list:
@@ -120,8 +100,7 @@ def factorize(path: str, k: int) -> list:
     of height at most k+1-s.  Raises ValueError if the path leaves [0, k]
     or contains characters other than 'u'/'d'.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_nonneg(k=k)
     prof = heights(path)
     for t, h in enumerate(prof):
         if h < 0:

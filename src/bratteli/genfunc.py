@@ -20,7 +20,7 @@ divides because denominators are normalized to constant term 1.
 from collections import namedtuple
 from math import gcd
 
-from .diagram import _check_nonneg
+from .diagram import _check_height, _check_nonneg
 
 
 # ---------------------------------------------------------------------------
@@ -33,22 +33,15 @@ def _trim(p: list) -> list:
     return p
 
 
-def poly_add(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for t, c in enumerate(a):
-        out[t] += c
-    for t, c in enumerate(b):
-        out[t] += c
-    return _trim(out)
-
-
 def poly_neg(a: list) -> list:
     return [-c for c in a]
 
 
 def poly_sub(a: list, b: list) -> list:
-    return poly_add(a, poly_neg(b))
+    out = list(a) + [0] * (len(b) - len(a))
+    for t, c in enumerate(b):
+        out[t] -= c
+    return _trim(out)
 
 
 def poly_mul(a: list, b: list) -> list:
@@ -243,8 +236,7 @@ def chebyshev_u(r: int) -> list:
     U_0 = 1, U_1 = 2x, U_{r+1} = 2x U_r - U_{r-1}; satisfies
     U_r(cos t) = sin((r+1)t) / sin(t).
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _check_nonneg(r=r)
     prev, cur = [1], [0, 2]
     if r == 0:
         return prev
@@ -252,11 +244,10 @@ def chebyshev_u(r: int) -> list:
         prev, cur = cur, poly_sub(poly_shift(poly_scale(cur, 2), 1), prev)
     return cur
 
+
 def _u_reversed_even(m: int) -> list:
     # x**m U_m(1/(2x)) written in t = x**2: coefficient of t**s is (-1)**s C(m-s, s).
     # V_0 = V_1 = 1, V_{m+1} = V_m - t V_{m-1}; V_{-1} = 0.
-    if m < -1:
-        raise ValueError("m must be at least -1")
     if m == -1:
         return []
     prev, cur = [], [1]
@@ -271,8 +262,7 @@ def u_reversed(m: int) -> list:
     Reversing U_m this way turns its roots cos(r pi / (m+1)) into poles of
     counting series: the denominators below are exactly these polynomials.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_nonneg(m=m)
     return poly_inflate(_u_reversed_even(m))
 
 
@@ -284,8 +274,7 @@ def bounded_dyck_gf(k: int) -> RationalGF:
     bounded_dyck_gf(k+1) = 1 / (1 - t * bounded_dyck_gf(k)) with the k = 0
     series identically zero.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_nonneg(k=k)
     return make_gf(_u_reversed_even(k - 1), _u_reversed_even(k))
 
 
@@ -300,9 +289,7 @@ def gf_product_form(k: int, i: int) -> RationalGF:
     level, one x per climbing step: the last-departure factorization made
     algebra.  Requires 0 <= i <= k.
     """
-    _check_nonneg(k=k, i=i)
-    if i > k:
-        raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
+    _check_height(k, i)
     g = gf_inflate(bounded_dyck_gf(k + 1))
     for r in range(1, i + 1):
         g = gf_mul(g, gf_shift(gf_inflate(bounded_dyck_gf(k + 1 - r)), 1))
@@ -316,9 +303,7 @@ def gf_closed_form(k: int, i: int) -> RationalGF:
     of degree k+1, each divided by their gcd V_{d-1}, d = gcd(k-i+1, k+2).
     Identical as a series to gf_product_form(k, i).
     """
-    _check_nonneg(k=k, i=i)
-    if i > k:
-        raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
+    _check_height(k, i)
     common = u_reversed(gcd(k - i + 1, k + 2) - 1)  # every V_m(0) = 1: den(0) = 1, content 1
     num, den = (poly_divexact(u_reversed(m), common) for m in (k - i, k + 1))
     return RationalGF(tuple(poly_shift(num, i)), tuple(den))
@@ -332,8 +317,7 @@ def series_coeffs(g: RationalGF, n: int, *, nonnegative: bool = False) -> list:
     ``nonnegative`` when expanding a counting series: a negative coefficient
     then raises ValueError since it can only mean an upstream bug.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_nonneg(n=n)
     num, den = g.num, g.den
     out: list = []
     for m in range(n + 1):

@@ -24,7 +24,7 @@ It is imported at first use, so ``import bratteli`` stays cheap.
 from collections import namedtuple
 from functools import lru_cache
 
-from .diagram import _check_nonneg, count_dp, is_vertex
+from .diagram import _check_height, _check_nonneg, count_dp, is_vertex
 
 MAX_BITS = 1 << 16  # count_spectral refuses a length that needs more precision
 
@@ -84,9 +84,7 @@ def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposit
     U_{k-i}/U_{k+1} at the roots of U_{k+1}; poles are the corresponding
     path-graph eigenvalues 2 cos(r pi/(k+2)).
     """
-    _check_nonneg(k=k, i=i)
-    if i > k:
-        raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
+    _check_height(k, i)
     import mpmath
     with mpmath.workprec(bits):
         terms = tuple(_weights(k, i, bits, k + 1))

@@ -13,9 +13,24 @@ import pytest
 import bratteli
 from bratteli import cli, diagram, dyck, spectral
 from bratteli.closed_forms import catalan, closed_form, count_unbounded
-from bratteli.diagram import TableBudgetError, build_table, count_dp, count_matrix_power, table_size
-from bratteli.dyck import enumerate_count
-from bratteli.genfunc import gf_closed_form, gf_product_form
+from bratteli.diagram import (
+    TableBudgetError,
+    _check_height,
+    build_table,
+    count_dp,
+    count_matrix_power,
+    table_size,
+)
+from bratteli.dyck import enumerate_count, factorize, iter_paths
+from bratteli.genfunc import (
+    GF_ONE,
+    bounded_dyck_gf,
+    chebyshev_u,
+    gf_closed_form,
+    gf_product_form,
+    series_coeffs,
+    u_reversed,
+)
 from bratteli.spectral import count_spectral, empirical_rate, growth_rate, residue_decomposition
 
 
@@ -172,6 +187,15 @@ def test_closed_form_functions_share_one_input_contract(args):
         lambda: gf_closed_form(3, bad),
         lambda: gf_product_form(bad, 0),
         lambda: gf_product_form(3, bad),
+        lambda: _check_height(bad, 0),
+        lambda: _check_height(3, bad),
+        lambda: list(iter_paths(bad, 3)),
+        lambda: list(iter_paths(2, bad)),
+        lambda: factorize("ud", bad),
+        lambda: chebyshev_u(bad),
+        lambda: u_reversed(bad),
+        lambda: bounded_dyck_gf(bad),
+        lambda: series_coeffs(GF_ONE, bad),
     ]
     for call in calls:
         with pytest.raises(ValueError):
@@ -367,6 +391,20 @@ def test_table_pretty_layout_has_a_budget():
         0, "j,i,count\n0,0,1\n", "")
 
 
+def test_table_budget_counts_bits(monkeypatch):
+    # 900,001 entries fit the entry budget, but counts of up to 600,000 bits
+    # each would take about 17 GB: refused before any column is built
+    def no_columns(k, jmax):
+        raise AssertionError(f"dp_columns({k}, {jmax}) built past the budget")
+
+    monkeypatch.setattr(diagram, "dp_columns", no_columns)
+    assert run(["table", "--k", "2", "--jmax", "600000"]) == (2, "", (
+        "error: table for k=2, jmax=600000 needs up to 540000600000 bits of counts,"
+        " budget is 4096000000\n"))
+    with pytest.raises(TableBudgetError):
+        build_table(2, 600000)
+
+
 def test_gf_output():
     code, out, _ = run(["gf", "--k", "5", "--i", "0", "--even"])
     assert code == 0
@@ -475,6 +513,22 @@ def test_verify_reports_first_mismatch(monkeypatch):
     assert code == 1
     assert "MISMATCH at k=0 i=0 j=2: dp=1 matrix=7" in out
     assert "verification failed" in out
+
+
+def test_verify_sweeps_each_level_once(monkeypatch):
+    # a level above jmax sweeps what level jmax sweeps, so it is counted, not run:
+    # 2 + 3 + 4 queries for levels 0..2, then 4 for each of the 99,998 levels above
+    real = cli._verify_task
+
+    def below_jmax(task):
+        k, jmax, _ = task
+        assert k <= jmax, f"level {k} swept for jmax={jmax}"
+        return real(task)
+
+    monkeypatch.setattr(cli, "_verify_task", below_jmax)
+    code, out, _ = run(["verify", "--kmax", "100000", "--jmax", "2", "--jobs", "1"])
+    assert code == 0
+    assert out.split("\n")[0] == "dp vs matrix: ok (400001 queries)"
 
 
 def test_compare_backends_orders_mismatches_canonically():

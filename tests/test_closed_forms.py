@@ -3,7 +3,6 @@ import math
 import pytest
 
 from bratteli.closed_forms import (
-    UNBOUNDED,
     catalan,
     closed_form,
     count_unbounded,
@@ -79,8 +78,6 @@ def test_closed_form_anchors():
     assert closed_form(2, 1, 9) == 16
     assert closed_form(1, 0, 40) == 1
     assert closed_form(2, 0, 0) == 1  # the one k=2 value the doubling law misses
-    assert closed_form(UNBOUNDED, 0, 6) == 5
-    assert closed_form(UNBOUNDED, 2, 4) == 3
 
 
 def test_closed_form_unreachable_and_domain():
@@ -93,6 +90,8 @@ def test_closed_form_unreachable_and_domain():
         closed_form(0, 0, 0)
     with pytest.raises(ValueError):
         closed_form(3, -1, 1)
+    with pytest.raises(ValueError):  # k = infinity is count_unbounded's
+        closed_form(math.inf, 0, 6)
 
 
 def test_closed_form_matches_dp():

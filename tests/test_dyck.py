@@ -44,6 +44,7 @@ def test_iter_paths_order_and_counts():
     assert list(iter_paths(1, 2)) == ["ud"]
     assert list(iter_paths(0, 0)) == [""]
     assert list(iter_paths(0, 3)) == []
+    assert next(iter_paths(40, 40)) == "u" * 40  # lazy: the tree has 2**40 leaves
     for k in range(0, 4):
         for j in range(0, 10):
             paths = list(iter_paths(k, j))
