@@ -13,19 +13,21 @@ import argparse
 import os
 import sys
 
+# adjacency_power_row and endpoint_counts are not called here: bench/inproc.py wraps cli's names
 from .diagram import (
     MAX_ENTRIES,
     CountTable,
     TableBudgetError,
     _check_nonneg,
     adjacency_power_row,
+    adjacency_power_rows,
     build_table,
     count_dp,
     count_matrix_power,
     table_size,
     vertex_heights,
 )
-from .dyck import MAX_LENGTH, endpoint_counts, enumerate_count
+from .dyck import MAX_LENGTH, endpoint_counts, endpoint_tallies, enumerate_count
 from .genfunc import LinearRecurrence, decimate, gf_closed_form, recurrence_from_gf, series_coeffs
 from .spectral import (
     PrecisionExhaustedError,
@@ -33,6 +35,7 @@ from .spectral import (
     empirical_rate,
     growth_rate,
     residue_decomposition,
+    spectral_columns,
 )
 
 
@@ -75,21 +78,15 @@ def _sweep_gf(k: int, jmax: int) -> list:
 # choices and of verify's "choose from" list.
 BACKENDS = {
     "dp": (lambda k, i, j: count_dp(k, i, j), lambda k, jmax: build_table(k, jmax).columns),
-    "dyck": (
-        lambda k, i, j: enumerate_count(k, i, j),
-        lambda k, jmax: [endpoint_counts(k, j) for j in range(jmax + 1)],
-    ),
+    "dyck": (lambda k, i, j: enumerate_count(k, i, j), lambda k, jmax: endpoint_tallies(k, jmax)),
     "gf": (_count_gf, _sweep_gf),
     "spectral": (
         lambda k, i, j: count_spectral(k, i, j),
-        lambda k, jmax: [
-            [count_spectral(k, i, j) if (i + j) % 2 == 0 else 0 for i in range(min(k, j) + 1)]
-            for j in range(jmax + 1)
-        ],
+        lambda k, jmax: spectral_columns(k, jmax),
     ),
     "matrix": (
         lambda k, i, j: count_matrix_power(k, i, j),
-        lambda k, jmax: [adjacency_power_row(k, j) for j in range(jmax + 1)],
+        lambda k, jmax: adjacency_power_rows(k, jmax),
     ),
 }
 

@@ -13,6 +13,7 @@ Counts are exact Python integers; they reach 2**(j-1) so machine words and
 floats are never used.
 """
 
+import math
 from functools import cached_property
 from operator import add, mul
 
@@ -120,7 +121,7 @@ def build_table(k: int, jmax: int) -> CountTable:
 
     Raises TableBudgetError before allocating anything if the table would
     hold more than MAX_ENTRIES vertices, or counts of more than MAX_ENTRIES
-    * 4096 bits in all (a count of j steps has at most j bits).
+    * 4096 bits in all.
     """
     _check_nonneg(k=k, jmax=jmax)
     need = table_size(k, jmax)
@@ -128,20 +129,27 @@ def build_table(k: int, jmax: int) -> CountTable:
         raise TableBudgetError(
             f"table for k={k}, jmax={jmax} needs {need} entries, budget is {MAX_ENTRIES}"
         )
-    if need * jmax > MAX_ENTRIES * 4096:
+    # every count is at most lam**jmax, where lam = 2 cos(pi/(k+2)) is the spectral radius at
+    # level min(k, jmax): floor(jmax log2 lam) + 1 bits, which the ceiling still bounds when the
+    # float log2 is low by less than 1
+    lam = 2 * math.cos(math.pi / (min(k, jmax) + 2))
+    bits = min(jmax, math.ceil(jmax * math.log2(lam)) + 1)
+    if need * bits > MAX_ENTRIES * 4096:
         raise TableBudgetError(
-            f"table for k={k}, jmax={jmax} needs up to {need * jmax} bits of counts,"
+            f"table for k={k}, jmax={jmax} needs up to {need * bits} bits of counts,"
             f" budget is {MAX_ENTRIES * 4096}"
         )
     return CountTable(k, jmax, list(dp_columns(k, jmax)))
 
 
-def _square_palindrome(c: list) -> list:
-    # c * c modulo x**n - 1, n = len(c), for a palindromic c (c[e] == c[-e]): the square is
-    # palindromic too, so only its coefficients 0..n/2 are summed
+def _power_step(c: list, bit: int) -> list:
+    # one step of binary powering modulo x**n - 1, n = len(c): c * c, then times x + 1/x when
+    # the bit is set.  c is palindromic (c[e] == c[-e]) and so is the square, so only its
+    # coefficients 0..n/2 are summed
     n = len(c)
     half = [sum(map(mul, c, c[e::-1] + c[:e:-1])) for e in range(n // 2 + 1)]
-    return half + half[-2:0:-1]
+    c = half + half[-2:0:-1]
+    return [c[e - 1] + c[e + 1 - n] for e in range(n)] if bit else c
 
 
 def adjacency_power_row(k: int, j: int) -> list:
@@ -152,13 +160,22 @@ def adjacency_power_row(k: int, j: int) -> list:
     the row is c[i] - c[-i-2].
     """
     _check_nonneg(k=k, j=j)
-    n = 2 * (k + 2)
-    c = [1] + [0] * (n - 1)
+    c = [1] + [0] * (2 * k + 3)
     for bit in bin(j)[2:]:
-        c = _square_palindrome(c)
-        if bit == "1":  # times x + 1/x
-            c = [c[e - 1] + c[e + 1 - n] for e in range(n)]
+        c = _power_step(c, bit == "1")
     return [c[i] - c[-i - 2] for i in range(k + 1)]
+
+
+def adjacency_power_rows(k: int, jmax: int) -> list:
+    """adjacency_power_row(k, j) for j = 0..jmax, each power one step from power j // 2.
+
+    Binary powering from the high bit passes through power j // 2 last, so the rows are equal.
+    """
+    _check_nonneg(k=k, jmax=jmax)
+    powers = [[1] + [0] * (2 * k + 3)]
+    for j in range(1, jmax + 1):
+        powers.append(_power_step(powers[j // 2], j & 1))
+    return [[c[i] - c[-i - 2] for i in range(k + 1)] for c in powers]
 
 
 def count_matrix_power(k: int, i: int, j: int) -> int:

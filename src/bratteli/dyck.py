@@ -17,27 +17,34 @@ from .diagram import _check_nonneg
 MAX_LENGTH = 26  # enumerate_count's cap on j: the search tree has up to 2**j leaves
 
 
-def endpoint_counts(k: int, length: int) -> list:
-    """Tally of endpoint heights over all bounded paths of the given length.
+def endpoint_tallies(k: int, jmax: int) -> list:
+    """t[j][h] = number of paths of j <= jmax steps staying in [0, k] and ending at height h.
 
-    Returns a list c with c[h] = number of paths of exactly ``length`` steps
-    staying in [0, k] and ending at height h.  Nothing caps the search; the
-    caller bounds ``length`` (enumerate_count by MAX_LENGTH).
+    One walk over the search tree to depth jmax counts each node, a path, at
+    its own depth.  Nothing caps the search; the caller bounds ``jmax``.
+    """
+    _check_nonneg(k=k, jmax=jmax)
+    tallies = [[0] * (k + 1) for _ in range(jmax + 1)]
+
+    def walk(h: int, depth: int) -> None:
+        tallies[depth][h] += 1
+        if depth < jmax:
+            if h < k:
+                walk(h + 1, depth + 1)
+            if h > 0:
+                walk(h - 1, depth + 1)
+
+    walk(0, 0)
+    return tallies
+
+
+def endpoint_counts(k: int, length: int) -> list:
+    """Paths of exactly ``length`` steps by endpoint height: endpoint_tallies(k, length)[-1].
+
+    The caller bounds ``length`` (enumerate_count by MAX_LENGTH).
     """
     _check_nonneg(k=k, length=length)
-    counts = [0] * (k + 1)
-
-    def walk(h: int, left: int) -> None:
-        if left == 0:
-            counts[h] += 1
-            return
-        if h < k:
-            walk(h + 1, left - 1)
-        if h > 0:
-            walk(h - 1, left - 1)
-
-    walk(0, length)
-    return counts
+    return endpoint_tallies(k, length)[-1]
 
 
 def enumerate_count(k: int, i: int, j: int) -> int:

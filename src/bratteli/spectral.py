@@ -23,8 +23,9 @@ It is imported at first use, so ``import bratteli`` stays cheap.
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
-from .diagram import _check_height, _check_nonneg, count_dp, is_vertex
+from .diagram import _check_height, _check_nonneg, count_dp, is_vertex, vertex_heights
 
 MAX_BITS = 1 << 16  # count_spectral refuses a length that needs more precision
 
@@ -104,6 +105,17 @@ def _bits(j: int) -> int:
     return -(-(j + j.bit_length() + 8) // 64) * 64
 
 
+def _checked_bits(k: int, i: int, j: int) -> int:
+    # _bits(j), or the refusal of a length that needs more than MAX_BITS
+    bits = _bits(j)
+    if bits > MAX_BITS:
+        raise PrecisionExhaustedError(
+            f"no stable integer for (k={k}, i={i}, j={j}) within {MAX_BITS} bits"
+            " (last residual: never evaluated)"
+        )
+    return bits
+
+
 def count_spectral(k: int, i: int, j: int) -> int:
     """Path count via the spectral power sum, evaluated once and certified.
 
@@ -117,17 +129,40 @@ def count_spectral(k: int, i: int, j: int) -> int:
         return 0
     if j == 0:
         return 1  # the empty path: the halved sum leaves out the pole 0, seen only at j = 0
-    bits = _bits(j)
-    if bits > MAX_BITS:
-        raise PrecisionExhaustedError(
-            f"no stable integer for (k={k}, i={i}, j={j}) within {MAX_BITS} bits"
-            " (last residual: never evaluated)"
-        )
+    bits = _checked_bits(k, i, j)
     import mpmath
     level = min(k, j)
     with mpmath.workprec(bits):
         half = _weights(level, i, bits, (level + 1) // 2)
         return int(mpmath.nint(2 * mpmath.fsum(w * lam ** j for w, lam in half)))
+
+
+def spectral_columns(k: int, jmax: int) -> list:
+    """count_spectral(k, i, j) at every vertex with j <= jmax, in columns of heights 0..min(k, j).
+
+    Each column raises its poles to the j-th power once, and each height's weights are computed
+    once per level and precision: every count is count_spectral's sum, term for term.
+    """
+    _check_nonneg(k=k, jmax=jmax)
+    import mpmath
+    weights = {}
+    columns = [[1]]
+    for j in range(1, jmax + 1):
+        level = min(k, j)
+        col = [0] * (level + 1)
+        heights = vertex_heights(k, j)
+        if heights:
+            bits = _checked_bits(k, heights[0], j)
+            half = (level + 1) // 2
+            with mpmath.workprec(bits):
+                powers = [lam ** j for lam in _angles(level, bits)[1][:half]]
+                for i in heights:
+                    key = (level, i, bits)
+                    if key not in weights:
+                        weights[key] = [w for w, _ in _weights(level, i, bits, half)]
+                    col[i] = int(mpmath.nint(2 * mpmath.fsum(map(mul, weights[key], powers))))
+        columns.append(col)
+    return columns
 
 
 def growth_rate(k: int, bits: int = 53):

@@ -75,14 +75,15 @@ def test_count_negative_rejected_usage():
     assert code == 2
 
 
-# the call in each backend that allocates by level: dp's columns, the matrix,
-# the enumerator's tally, spectral's angle table and the gf fraction
+# the calls in each backend that allocate by level: dp's columns, the matrix power and
+# verify's rows of powers, the enumerator's tally and verify's tallies of one walk,
+# spectral's angle table and the gf fraction
 LEVEL_CALLS = {
-    "dp": (diagram, "dp_columns"),
-    "matrix": (diagram, "adjacency_power_row"),
-    "dyck": (dyck, "endpoint_counts"),
-    "spectral": (spectral, "_angles"),
-    "gf": (cli, "gf_closed_form"),
+    "dp": [(diagram, "dp_columns")],
+    "matrix": [(diagram, "adjacency_power_row"), (diagram, "adjacency_power_rows")],
+    "dyck": [(dyck, "endpoint_counts"), (dyck, "endpoint_tallies")],
+    "spectral": [(spectral, "_angles")],
+    "gf": [(cli, "gf_closed_form")],
 }
 
 
@@ -91,26 +92,29 @@ LEVEL_CALLS = {
 def test_count_via_clamps_k_to_j(monkeypatch, backend, j):
     # D_k(i, j) = D_j(i, j) once k >= j.  An unclamped k = 10**6 would take
     # the matrix backend 8 TB, so the guard fails the test before that.
-    module, inner = LEVEL_CALLS[backend]
-    real = getattr(module, inner)
+    def guard(inner, real):
+        def guarded(level, *rest):
+            assert level <= j, f"{backend}: {inner} asked at level {level} for {j} steps"
+            return real(level, *rest)
 
-    def guarded(level, *rest):
-        assert level <= j, f"{backend}: {inner} asked at level {level} for {j} steps"
-        return real(level, *rest)
+        def guarded_columns(k, jmax):
+            # dp_columns takes the unclamped k and clamps its band itself
+            for col in real(k, jmax):
+                assert len(col) <= j + 1, f"dp: a column of {len(col)} heights for {j} steps"
+                yield col
 
-    def guarded_columns(k, jmax):
-        # dp_columns takes the unclamped k and clamps its band itself
-        for col in real(k, jmax):
-            assert len(col) <= j + 1, f"dp: a column of {len(col)} heights for {j} steps"
-            yield col
+        return guarded_columns if backend == "dp" else guarded
 
-    wrapper = guarded_columns if backend == "dp" else guarded
-    monkeypatch.setattr(module, inner, wrapper)
+    wrappers = {}
+    for module, inner in LEVEL_CALLS[backend]:
+        wrappers[inner] = guard(inner, getattr(module, inner))
+        monkeypatch.setattr(module, inner, wrappers[inner])
     for i in range(j + 2):
         assert cli.count_via(backend, 10**6, i, j) == count_dp(j, i, j), (i, j)
     # verify's sweeps run at level min(k, jmax) too; they call the names cli imported
-    if hasattr(cli, inner):
-        monkeypatch.setattr(cli, inner, wrapper)
+    for inner, wrapper in wrappers.items():
+        if hasattr(cli, inner):
+            monkeypatch.setattr(cli, inner, wrapper)
     argv = ["verify", "--kmax", "40", "--jmax", str(j), "--backends", "dp,dyck,gf,spectral,matrix",
             "--jobs", "1"]
     assert run(argv)[0] == 0
@@ -392,17 +396,21 @@ def test_table_pretty_layout_has_a_budget():
 
 
 def test_table_budget_counts_bits(monkeypatch):
-    # 900,001 entries fit the entry budget, but counts of up to 600,000 bits
-    # each would take about 17 GB: refused before any column is built
+    # 900,001 entries fit the entry budget, but counts of up to sqrt(2)**600000,
+    # 300,002 bits each, would take about 17 GB: refused before any column is built
     def no_columns(k, jmax):
         raise AssertionError(f"dp_columns({k}, {jmax}) built past the budget")
 
     monkeypatch.setattr(diagram, "dp_columns", no_columns)
     assert run(["table", "--k", "2", "--jmax", "600000"]) == (2, "", (
-        "error: table for k=2, jmax=600000 needs up to 540000600000 bits of counts,"
+        "error: table for k=2, jmax=600000 needs up to 270002100002 bits of counts,"
         " budget is 4096000000\n"))
     with pytest.raises(TableBudgetError):
         build_table(2, 600000)
+    monkeypatch.undo()
+    # every count at level 1 is 0 or 1, so each vertex is charged 2 bits, not jmax
+    code, out, err = run(["table", "--k", "1", "--jmax", "70000"])
+    assert (code, err, out.count("\n")) == (0, "", 70002)
 
 
 def test_gf_output():

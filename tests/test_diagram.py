@@ -4,6 +4,7 @@ from bratteli import diagram
 from bratteli.diagram import (
     TableBudgetError,
     adjacency_power_row,
+    adjacency_power_rows,
     build_table,
     count_dp,
     count_matrix_power,
@@ -123,10 +124,12 @@ def test_matrix_power_matches_dp():
             for i in range(k + 1):
                 assert count_matrix_power(k, i, j) == count_dp(k, i, j), (k, i, j)
     # the fold itself: k = 0, both parities, j < k (zeros above height j) and powers
-    # that wrap around the 2(k+2)-cycle
+    # that wrap around the 2(k+2)-cycle; verify's rows square each power from power j // 2
     for k in range(0, 25):
+        rows = adjacency_power_rows(k, 80)
+        assert len(rows) == 81
         for j, col in enumerate(dp_columns(k, 80)):
-            assert adjacency_power_row(k, j) == col + [0] * (k + 1 - len(col)), (k, j)
+            assert rows[j] == adjacency_power_row(k, j) == col + [0] * (k + 1 - len(col)), (k, j)
 
 
 def test_matrix_power_skips_unreachable_targets(monkeypatch):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from bratteli.diagram import count_dp
 from bratteli.dyck import (
     endpoint_counts,
+    endpoint_tallies,
     enumerate_count,
     factorize,
     heights,
@@ -28,10 +29,13 @@ def test_enumerate_matches_dp():
 
 
 def test_endpoint_counts_row():
-    for k in range(0, 5):
-        for j in range(0, 11):
+    # verify's one walk to depth 18 tallies what a walk to each depth does
+    for k in range(0, 10):
+        tallies = endpoint_tallies(k, 18)
+        assert len(tallies) == 19
+        for j in range(0, 19):
             row = endpoint_counts(k, j)
-            assert row == [count_dp(k, i, j) for i in range(k + 1)]
+            assert tallies[j] == row == [count_dp(k, i, j) for i in range(k + 1)], (k, j)
 
 
 def test_length_cap():

@@ -2,7 +2,7 @@ import mpmath
 import pytest
 
 from bratteli import spectral
-from bratteli.diagram import build_table, count_dp
+from bratteli.diagram import build_table, count_dp, vertex_heights
 from bratteli.genfunc import chebyshev_u, poly_eval
 from bratteli.spectral import (
     PrecisionExhaustedError,
@@ -10,6 +10,7 @@ from bratteli.spectral import (
     empirical_rate,
     growth_rate,
     residue_decomposition,
+    spectral_columns,
 )
 
 
@@ -103,6 +104,19 @@ def test_count_spectral_swept_against_dp():
                 assert count_spectral(k, i, j) == rows[(i, j)], (k, i, j)
 
 
+def test_spectral_columns_match_counts_and_dp():
+    # verify's sweep, one power per pole and column, against one count per vertex
+    for k in range(0, 16):
+        columns = spectral_columns(k, 130)
+        dp = build_table(k, 130).columns
+        assert [len(col) for col in columns] == [min(k, j) + 1 for j in range(131)]
+        for j, col in enumerate(columns):
+            heights = vertex_heights(k, j)
+            for i, count in enumerate(col):
+                want = count_spectral(k, i, j) if i in heights else 0
+                assert count == want == (dp[j][i] if i in heights else 0), (k, i, j)
+
+
 def test_count_spectral_at_40000_steps():
     # one evaluation at 40064 bits, inside MAX_BITS
     assert count_spectral(2, 0, 40000) == count_dp(2, 0, 40000)
@@ -138,6 +152,12 @@ def test_precision_exhaustion(monkeypatch):
     monkeypatch.setattr(spectral, "MAX_BITS", 64)
     with pytest.raises(PrecisionExhaustedError, match="never evaluated"):
         count_spectral(6, 0, 60)
+    # the sweep refuses at the first vertex past 64 bits, j = 51, as count_spectral does
+    with pytest.raises(PrecisionExhaustedError) as swept:
+        spectral_columns(6, 60)
+    with pytest.raises(PrecisionExhaustedError) as single:
+        count_spectral(6, 1, 51)
+    assert "(k=6, i=1, j=51)" in str(swept.value) == str(single.value)
 
 
 def test_growth_rate_values():
