@@ -241,34 +241,24 @@ def _cmd_rate(args) -> int:
 # cross-backend verification
 
 
-def _verify_task(task: tuple) -> tuple:
-    """Worker: all requested backends over one level-k diagram, each at level min(k, jmax)."""
+def _verify_task(task: tuple) -> list:
+    """Worker: sweep one level-k diagram at level min(k, jmax) with every backend and compare."""
     k, jmax, backends = task
-    return k, {backend: BACKENDS[backend][1](min(k, jmax), jmax) for backend in backends}
+    return compare_backends(k, [BACKENDS[name][1](min(k, jmax), jmax) for name in backends])
 
 
-def compare_backends(results: list, backends: tuple) -> list:
-    """Pair the first backend against each other one.
+def compare_backends(k: int, sweeps: list) -> list:
+    """Pair the first of one level's sweeps, lists of columns, against each other one.
 
-    ``results`` is a list of (k, {backend: sweep}), each sweep a list of
-    columns as BACKENDS returns them.  Returns one (ref, other, queries,
-    first_mismatch) tuple per pair, where queries counts the vertices
-    compared and first_mismatch is None or (k, i, j, ref_value,
-    other_value), first in (k, j, i) order.
+    Returns one first mismatch per pair: None, or (k, i, j, ref_value,
+    other_value) at the first vertex in (j, i) order where the two differ.
     """
-    ref = backends[0]
+    ref = sweeps[0]
     out = []
-    for other in backends[1:]:
-        queries = 0
-        first = None
-        for k, by_backend in sorted(results, key=lambda item: item[0]):
-            a, b = by_backend[ref], by_backend[other]
-            queries += table_size(k, len(a) - 1)
-            if first is None:
-                diffs = ((k, i, j, a[j][i], b[j][i])
-                         for j in range(len(a)) for i in vertex_heights(k, j) if a[j][i] != b[j][i])
-                first = next(diffs, None)
-        out.append((ref, other, queries, first))
+    for other in sweeps[1:]:
+        diffs = ((k, i, j, ref[j][i], other[j][i])
+                 for j in range(len(ref)) for i in vertex_heights(k, j) if ref[j][i] != other[j][i])
+        out.append(next(diffs, None))
     return out
 
 
@@ -285,23 +275,25 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"the dyck backend enumerates at most {MAX_LENGTH} steps; lower --jmax")
     # a level above jmax sweeps what level jmax sweeps: run levels up to jmax, count the rest
     tasks = [(k, args.jmax, backends) for k in range(min(args.kmax, args.jmax) + 1)]
-    above = max(args.kmax - args.jmax, 0) * table_size(args.jmax, args.jmax)
+    queries = sum(table_size(k, args.jmax) for k, _, _ in tasks)
+    queries += max(args.kmax - args.jmax, 0) * table_size(args.jmax, args.jmax)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_verify_task, tasks))
+            levels = list(pool.map(_verify_task, tasks))
     else:
-        results = [_verify_task(task) for task in tasks]
-    failed = False
-    for ref, other, queries, mismatch in compare_backends(results, backends):
+        levels = [_verify_task(task) for task in tasks]
+    ref = backends[0]
+    # levels are in k order, so a pair's first mismatch is its lowest in (k, j, i)
+    mismatches = [next(filter(None, found), None) for found in zip(*levels)]
+    for other, mismatch in zip(backends[1:], mismatches):
         if mismatch is None:
-            print(f"{ref} vs {other}: ok ({queries + above} queries)")
+            print(f"{ref} vs {other}: ok ({queries} queries)")
         else:
-            failed = True
             k, i, j, va, vb = mismatch
             print(f"{ref} vs {other}: MISMATCH at k={k} i={i} j={j}: {ref}={va} {other}={vb}")
-    if failed:
+    if any(mismatches):
         print(f"verification failed (kmax={args.kmax}, jmax={args.jmax})")
         return 1
     print(f"all backends agree (kmax={args.kmax}, jmax={args.jmax})")

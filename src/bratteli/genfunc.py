@@ -18,7 +18,7 @@ divides because denominators are normalized to constant term 1.
 """
 
 from collections import namedtuple
-from math import gcd
+from math import comb, gcd
 
 from .diagram import _check_height, _check_nonneg
 
@@ -233,27 +233,19 @@ def gf_inflate(g: RationalGF) -> RationalGF:
 def chebyshev_u(r: int) -> list:
     """Coefficients of the Chebyshev polynomial of the second kind U_r.
 
-    U_0 = 1, U_1 = 2x, U_{r+1} = 2x U_r - U_{r-1}; satisfies
+    U_r = sum_s (-1)**s C(r-s, s) (2x)**(r-2s); satisfies
     U_r(cos t) = sin((r+1)t) / sin(t).
     """
     _check_nonneg(r=r)
-    prev, cur = [1], [0, 2]
-    if r == 0:
-        return prev
-    for _ in range(r - 1):
-        prev, cur = cur, poly_sub(poly_shift(poly_scale(cur, 2), 1), prev)
-    return cur
+    coeffs = [0] * (r + 1)
+    for s, c in enumerate(_u_reversed_even(r)):
+        coeffs[r - 2 * s] = c << (r - 2 * s)
+    return coeffs
 
 
 def _u_reversed_even(m: int) -> list:
-    # x**m U_m(1/(2x)) written in t = x**2: coefficient of t**s is (-1)**s C(m-s, s).
-    # V_0 = V_1 = 1, V_{m+1} = V_m - t V_{m-1}; V_{-1} = 0.
-    if m == -1:
-        return []
-    prev, cur = [], [1]
-    for _ in range(m):
-        prev, cur = cur, poly_sub(cur, poly_shift(prev, 1))
-    return cur
+    # x**m U_m(1/(2x)) written in t = x**2: coefficient of t**s is (-1)**s C(m-s, s), [] at m = -1
+    return [(-1) ** s * comb(m - s, s) for s in range(m // 2 + 1)]
 
 
 def u_reversed(m: int) -> list:

@@ -25,7 +25,8 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from .diagram import _check_height, _check_nonneg, count_dp, is_vertex, vertex_heights
+from .diagram import (MAX_ENTRIES, TableBudgetError, _check_height, _check_nonneg, count_dp,
+                      is_vertex, vertex_heights)
 
 MAX_BITS = 1 << 16  # count_spectral refuses a length that needs more precision
 
@@ -83,9 +84,12 @@ def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposit
 
     Requires 0 <= i <= k.  weights w_r are twice the residues of
     U_{k-i}/U_{k+1} at the roots of U_{k+1}; poles are the corresponding
-    path-graph eigenvalues 2 cos(r pi/(k+2)).
+    path-graph eigenvalues 2 cos(r pi/(k+2)).  More than MAX_ENTRIES terms,
+    the budget of a table, raise TableBudgetError before anything is computed.
     """
     _check_height(k, i)
+    if k + 1 > MAX_ENTRIES:
+        raise TableBudgetError(f"residues for k={k} need {k + 1} terms, budget is {MAX_ENTRIES}")
     import mpmath
     with mpmath.workprec(bits):
         terms = tuple(_weights(k, i, bits, k + 1))

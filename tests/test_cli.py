@@ -508,18 +508,17 @@ def test_verify_flag_validation():
     assert run(["verify", "--kmax", "2", "--jmax", "4", "--backends", "dp,dp"])[0] == 2
 
 
-def test_verify_reports_first_mismatch(monkeypatch):
-    def fake_task(task):
-        k, jmax, backends = task
-        good = [[1], [0], [1]]  # level 0: the vertices (0, 0) and (0, 2)
-        bad = [[1], [0], [7]]
-        return k, {"dp": good, "matrix": bad}
+def _patch_sweep(monkeypatch, backend, sweep):
+    monkeypatch.setitem(cli.BACKENDS, backend, (cli.BACKENDS[backend][0], sweep))
 
-    monkeypatch.setattr(cli, "_verify_task", fake_task)
+
+def test_verify_reports_first_mismatch(monkeypatch):
+    # level 0 has the vertices (0, 0) and (0, 2), with 1 and 0 paths; matrix disagrees at the second
+    _patch_sweep(monkeypatch, "matrix", lambda k, jmax: [[1], [0], [7]])
     code, out, _ = run(["verify", "--kmax", "0", "--jmax", "2", "--jobs", "1",
                         "--backends", "dp,matrix"])
     assert code == 1
-    assert "MISMATCH at k=0 i=0 j=2: dp=1 matrix=7" in out
+    assert "MISMATCH at k=0 i=0 j=2: dp=0 matrix=7" in out
     assert "verification failed" in out
 
 
@@ -539,18 +538,64 @@ def test_verify_sweeps_each_level_once(monkeypatch):
     assert out.split("\n")[0] == "dp vs matrix: ok (400001 queries)"
 
 
-def test_compare_backends_orders_mismatches_canonically():
-    # columns to length 2; the sweeps differ at level 2 and, at level 1, at
+def test_compare_backends_orders_mismatches_canonically(monkeypatch):
+    # columns to length 2; gf differs from dp at level 2 and, at level 1, at
     # (i, j) = (1, 1) and (0, 2): the first mismatch is the lowest k, then
-    # the lowest (j, i).  Only vertices are compared, so level 0's (0, 1)
-    # is not, and every vertex counts as a query (2 + 3 + 4)
-    results = [
-        (2, {"dp": [[1, 0, 0], [0, 1, 0], [1, 0, 1]], "gf": [[5, 0, 0], [0, 1, 0], [1, 0, 1]]}),
-        (1, {"dp": [[1, 0], [0, 1], [1, 0]], "gf": [[1, 0], [0, 9], [8, 0]]}),
-        (0, {"dp": [[1], [0], [1]], "gf": [[1], [3], [1]]}),
-    ]
-    pairs = cli.compare_backends(results, ("dp", "gf"))
-    assert pairs == [("dp", "gf", 9, (1, 1, 1, 1, 9))]
+    # the lowest (j, i).  Only vertices are compared, so matrix's 3 at level
+    # 0's (0, 1) is not, and every vertex counts as a query (2 + 3 + 4)
+    gf = {2: [[5, 0, 0], [0, 1, 0], [1, 0, 1]], 1: [[1, 0], [0, 9], [8, 0]], 0: [[1], [0], [0]]}
+    matrix = {2: [[1, 0, 0], [0, 1, 0], [1, 0, 1]], 1: [[1, 0], [0, 1], [1, 0]], 0: [[1], [3], [0]]}
+    _patch_sweep(monkeypatch, "gf", lambda k, jmax: gf[k])
+    _patch_sweep(monkeypatch, "matrix", lambda k, jmax: matrix[k])
+    calls, real = [], cli.compare_backends
+    monkeypatch.setattr(cli, "compare_backends", lambda k, s: calls.append(k) or real(k, s))
+    code, out, _ = run(["verify", "--kmax", "2", "--jmax", "2", "--jobs", "1",
+                        "--backends", "dp,gf,matrix"])
+    assert code == 1
+    assert out == ("dp vs gf: MISMATCH at k=1 i=1 j=1: dp=1 gf=9\n"
+                   "dp vs matrix: ok (9 queries)\n"
+                   "verification failed (kmax=2, jmax=2)\n")
+    assert calls == [0, 1, 2]  # looked up on cli at call time, once per level
+
+
+def test_verify_mismatch_at_two_levels_is_the_same_for_any_jobs(monkeypatch):
+    # gf is wrong at level 3, (i, j) = (1, 3), and at level 2, (2, 6): the
+    # lower level wins although its vertex comes later in (j, i)
+    def bad_gf(k, jmax):
+        columns = build_table(k, jmax).columns
+        if k in (2, 3):
+            i, j = (2, 6) if k == 2 else (1, 3)
+            columns[j][i] += 1
+        return columns
+
+    _patch_sweep(monkeypatch, "gf", bad_gf)
+    argv = ["verify", "--kmax", "5", "--jmax", "8", "--backends", "dp,gf,spectral"]
+    serial = run(argv + ["--jobs", "1"])
+    assert serial == run(argv + ["--jobs", "2"])  # workers are forked with the patched table
+    code, out, err = serial
+    assert (code, err) == (1, "")
+    assert out == ("dp vs gf: MISMATCH at k=2 i=2 j=6: dp=4 gf=5\n"
+                   "dp vs spectral: ok (83 queries)\n"
+                   "verification failed (kmax=5, jmax=8)\n")
+
+
+def test_verify_task_returns_mismatches_not_columns():
+    import pickle
+    pairs = cli._verify_task((8, 100, ("dp", "matrix", "gf", "spectral")))
+    assert pairs == [None, None, None]
+    assert len(pickle.dumps(pairs)) < 1024
+
+
+def test_residues_refuse_more_terms_than_a_table(monkeypatch):
+    def no_angles(k, bits):
+        raise AssertionError(f"angle table built for k={k}")
+
+    monkeypatch.setattr(spectral, "_angles", no_angles)
+    code, out, err = run(["residues", "--k", "1000000000", "--i", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: residues for k=1000000000 need 1000000001 terms, budget is 1000000\n"
+    with pytest.raises(TableBudgetError):
+        residue_decomposition(diagram.MAX_ENTRIES, 0)
 
 
 def test_usage_errors():
