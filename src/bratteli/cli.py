@@ -40,6 +40,11 @@ from .spectral import (
 
 
 def _nonneg(text: str) -> int:
+    # int()'s default limit of 4300 digits, checked here: main lifts the process-wide limit
+    # to print long counts, so a later parse in the same process would take any length
+    digits = sum(map(str.isdecimal, text))
+    if digits > 4300:
+        raise argparse.ArgumentTypeError(f"has {digits} digits, more than the 4300 allowed")
     try:
         value = int(text)
     except ValueError:
@@ -229,8 +234,8 @@ def _cmd_rate(args) -> int:
     print("exact", mpmath.nstr(exact, args.digits))
     try:
         emp = empirical_rate(args.k, args.i, args.jmax, bits=bits)
-    except ValueError:
-        print("empirical undefined (counts vanish)")
+    except ValueError as exc:  # counts that vanish, or a jmax with too few lengths
+        print(f"empirical undefined ({exc})")
         return 0
     print("empirical", mpmath.nstr(emp, args.digits))
     print("diff", mpmath.nstr(abs(exact - emp), 3))

@@ -8,14 +8,16 @@ ending at height i is the exact real number
 
 This is the Chebyshev weight (-1)**(r+1) U_{k-i}(cos theta_r) sin(theta_r)**2
 times 2/(k+2), rewritten by U_m(cos t) = sin((m+1) t) / sin t.  When i + j is
-even the terms of r and k+2-r are equal, so ``count_spectral`` sums the
-r < (k+2)/2 half and doubles it.
+even the terms of r and k+2-r are equal, so the sum is taken over the
+r < (k+2)/2 half and doubled.
 
 Evaluated in binary floating point the sum is only close to the true
-integer, so ``count_spectral`` evaluates it once, at a precision where an a
-priori rounding-error bound keeps it within 1/4 of the count: the nearest
-integer is certified.  The bound rests on an angle table whose every sine and
-cosine is checked against an interval enclosure.
+integer, so one evaluator, called by ``count_spectral`` for one vertex and by
+verify's sweep ``spectral_columns`` for whole columns, evaluates it once per
+vertex, at a precision where an a priori rounding-error bound keeps it within
+1/4 of the count: the nearest integer is certified.  The bound rests on an
+angle table whose every sine and cosine is checked against an interval
+enclosure.
 
 mpmath supplies the arbitrary-precision reals; everything else is explicit.
 It is imported at first use, so ``import bratteli`` stays cheap.
@@ -69,14 +71,11 @@ def _angles(k: int, bits: int) -> tuple:
 
 
 def _weights(k: int, i: int, bits: int, count: int) -> list:
-    # (w_r, lambda_r) for r = 1..count, in the caller's working precision
-    sines, poles = _angles(k, bits)
-    out = []
-    for r in range(1, count + 1):
-        turns, m = divmod((i + 1) * r, k + 2)
-        s = -sines[m] if turns % 2 else sines[m]  # sin(x + pi) = -sin(x)
-        out.append((2 * sines[r] * s / (k + 2), poles[r - 1]))
-    return out
+    # w_r for r = 1..count, in the caller's working precision: sin((i+1) theta_r) is the table's
+    # sine at (i+1) r mod (k+2), negated after an odd number of half-turns (sin(x + pi) = -sin(x))
+    sines, n = _angles(k, bits)[0], k + 2
+    return [2 * (-1) ** ((i + 1) * r // n) * sines[r] * sines[(i + 1) * r % n] / n
+            for r in range(1, count + 1)]
 
 
 def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposition:
@@ -92,7 +91,7 @@ def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposit
         raise TableBudgetError(f"residues for k={k} need {k + 1} terms, budget is {MAX_ENTRIES}")
     import mpmath
     with mpmath.workprec(bits):
-        terms = tuple(_weights(k, i, bits, k + 1))
+        terms = tuple(zip(_weights(k, i, bits, k + 1), _angles(k, bits)[1]))
     return SpectralDecomposition(k=k, i=i, bits=bits, terms=terms)
 
 
@@ -109,15 +108,27 @@ def _bits(j: int) -> int:
     return -(-(j + j.bit_length() + 8) // 64) * 64
 
 
-def _checked_bits(k: int, i: int, j: int) -> int:
-    # _bits(j), or the refusal of a length that needs more than MAX_BITS
+def _column(k: int, j: int, heights, weights: dict) -> list:
+    # the certified counts at the vertices (i, j), i in heights ascending, at level min(k, j);
+    # each height's weights are kept in the caller's dict, keyed by (level, i, bits)
+    if j == 0 or not heights:  # no vertex, or the empty path: the halved sum drops the pole 0
+        return [1] * len(heights)
     bits = _bits(j)
     if bits > MAX_BITS:
         raise PrecisionExhaustedError(
-            f"no stable integer for (k={k}, i={i}, j={j}) within {MAX_BITS} bits"
+            f"no stable integer for (k={k}, i={heights[0]}, j={j}) within {MAX_BITS} bits"
             " (last residual: never evaluated)"
         )
-    return bits
+    import mpmath
+    level = min(k, j)
+    half = (level + 1) // 2
+    with mpmath.workprec(bits):
+        powers = [lam ** j for lam in _angles(level, bits)[1][:half]]
+        for i in heights:
+            if (level, i, bits) not in weights:
+                weights[level, i, bits] = _weights(level, i, bits, half)
+        return [int(mpmath.nint(2 * mpmath.fsum(map(mul, weights[level, i, bits], powers))))
+                for i in heights]
 
 
 def count_spectral(k: int, i: int, j: int) -> int:
@@ -129,43 +140,20 @@ def count_spectral(k: int, i: int, j: int) -> int:
     PrecisionExhaustedError.  Unreachable targets count zero, as in count_dp.
     """
     _check_nonneg(k=k, i=i, j=j)
-    if not is_vertex(k, i, j):
-        return 0
-    if j == 0:
-        return 1  # the empty path: the halved sum leaves out the pole 0, seen only at j = 0
-    bits = _checked_bits(k, i, j)
-    import mpmath
-    level = min(k, j)
-    with mpmath.workprec(bits):
-        half = _weights(level, i, bits, (level + 1) // 2)
-        return int(mpmath.nint(2 * mpmath.fsum(w * lam ** j for w, lam in half)))
+    return _column(k, j, (i,), {})[0] if is_vertex(k, i, j) else 0
 
 
 def spectral_columns(k: int, jmax: int) -> list:
     """count_spectral(k, i, j) at every vertex with j <= jmax, in columns of heights 0..min(k, j).
 
-    Each column raises its poles to the j-th power once, and each height's weights are computed
-    once per level and precision: every count is count_spectral's sum, term for term.
+    Each column raises its poles to the j-th power once, and each height's weights are
+    computed once per level and precision.
     """
     _check_nonneg(k=k, jmax=jmax)
-    import mpmath
+    columns = [[0] * (min(k, j) + 1) for j in range(jmax + 1)]
     weights = {}
-    columns = [[1]]
-    for j in range(1, jmax + 1):
-        level = min(k, j)
-        col = [0] * (level + 1)
-        heights = vertex_heights(k, j)
-        if heights:
-            bits = _checked_bits(k, heights[0], j)
-            half = (level + 1) // 2
-            with mpmath.workprec(bits):
-                powers = [lam ** j for lam in _angles(level, bits)[1][:half]]
-                for i in heights:
-                    key = (level, i, bits)
-                    if key not in weights:
-                        weights[key] = [w for w, _ in _weights(level, i, bits, half)]
-                    col[i] = int(mpmath.nint(2 * mpmath.fsum(map(mul, weights[key], powers))))
-        columns.append(col)
+    for j, col in enumerate(columns):
+        col[j % 2::2] = _column(k, j, vertex_heights(k, j), weights)  # the heights of column j
     return columns
 
 
@@ -193,7 +181,7 @@ def empirical_rate(k: int, i: int, jmax: int, bits: int = 128):
     a = count_dp(k, i, jm)
     b = count_dp(k, i, jm - 2)
     if a == 0 or b == 0:
-        raise ValueError(f"counts vanish at (k={k}, i={i}); empirical rate undefined")
+        raise ValueError("counts vanish")
     import mpmath
     with mpmath.workprec(bits):
         return mpmath.sqrt(mpmath.mpf(a) / mpmath.mpf(b))

@@ -471,6 +471,30 @@ def test_rate_output():
     assert "empirical undefined" in out
 
 
+def test_rate_says_why_the_empirical_rate_is_undefined():
+    # D_3(0, 0) = 1, so the counts do not vanish: jmax = 1 leaves one usable length
+    code, out, _ = run(["rate", "--k", "3", "--i", "0", "--jmax", "1"])
+    assert code == 0
+    assert out == ("exact 1.61803398875\n"
+                   "empirical undefined (jmax too small: need at least two usable lengths)\n")
+    for argv in (["rate", "--k", "0"], ["rate", "--k", "3", "--i", "5"]):
+        code, out, _ = run(argv)
+        assert code == 0 and out.endswith("\nempirical undefined (counts vanish)\n"), argv
+
+
+def test_argument_with_too_many_digits_is_refused_briefly():
+    # past int()'s default limit of 4300 digits, whatever limit an earlier main left set; a
+    # value that did parse would count 0 at once (i + j odd), so no variant can hang
+    ones = "1" * 5000
+    for argv in (["count", "--k", ones, "--i", "0", "--j", "1"],
+                 ["count", "--k", "1", "--i", "0", "--j", ones]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1024 and "not an integer" not in err
+        assert "has 5000 digits, more than the 4300 allowed" in err
+    assert run(["count", "--k", "1", "--i", "0", "--j", "1" * 4300]) == (0, "0\n", "")
+
+
 def test_verify_ok_and_deterministic():
     argv = ["verify", "--kmax", "3", "--jmax", "12", "--jobs", "1"]
     code, out, _ = run(argv)

@@ -3,12 +3,16 @@
 Every vector was recorded once from the CLI and must stay byte-identical
 across refactors of the backends, the table formats and the parser.
 COLUMNS is pinned because argparse wraps its usage text to the terminal
-width.
+width.  The "$ bratteli ..." examples in README.md are run here too, so the
+docs show what the CLI prints.
 """
 
 import hashlib
 import io
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +113,27 @@ def test_cli_bytes_are_pinned(monkeypatch, argv, digest, stderr, code):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
     assert err.getvalue() == stderr
     assert got == code
+
+
+def _readme_examples() -> list:
+    # (argv, shown stdout) for every "$ bratteli ..." line in README.md's plain code blocks;
+    # the output shown runs to the next blank line, command or the end of the block
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```$", readme, re.M | re.S):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M)[1:]:
+            command, _, shown = chunk.partition("\n")
+            argv = shlex.split(command, comments=True)
+            assert argv[:2] == ["$", "bratteli"], command
+            examples.append((argv[2:], shown.split("\n\n")[0].rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_examples_print_what_they_show():
+    examples = _readme_examples()
+    assert len(examples) >= 9
+    for argv, shown in examples:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0, argv
+        assert out.getvalue() == shown, argv

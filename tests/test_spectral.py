@@ -124,9 +124,10 @@ def test_count_spectral_at_40000_steps():
 
 def test_weakened_precision_is_caught(monkeypatch):
     # j - 32 bits cannot hold the 86-digit count, so the sweeps against dp
-    # would catch a bound that is too weak
-    monkeypatch.setattr(spectral, "_bits", lambda j: j - 32)
+    # would catch a bound that is too weak; short columns keep a double's 53 bits
+    monkeypatch.setattr(spectral, "_bits", lambda j: max(j - 32, 53))
     assert count_spectral(12, 0, 300) != count_dp(12, 0, 300)
+    assert spectral_columns(12, 300) != build_table(12, 300).columns
 
 
 def test_angle_outside_its_enclosure_raises(monkeypatch):
@@ -141,6 +142,8 @@ def test_angle_outside_its_enclosure_raises(monkeypatch):
     spectral._angles.cache_clear()
     with pytest.raises(PrecisionExhaustedError, match="enclosure"):
         count_spectral(6, 0, 40)
+    with pytest.raises(PrecisionExhaustedError, match="enclosure"):
+        spectral_columns(6, 40)
 
 
 def test_precision_exhaustion(monkeypatch):
@@ -152,12 +155,17 @@ def test_precision_exhaustion(monkeypatch):
     monkeypatch.setattr(spectral, "MAX_BITS", 64)
     with pytest.raises(PrecisionExhaustedError, match="never evaluated"):
         count_spectral(6, 0, 60)
-    # the sweep refuses at the first vertex past 64 bits, j = 51, as count_spectral does
-    with pytest.raises(PrecisionExhaustedError) as swept:
-        spectral_columns(6, 60)
-    with pytest.raises(PrecisionExhaustedError) as single:
-        count_spectral(6, 1, 51)
-    assert "(k=6, i=1, j=51)" in str(swept.value) == str(single.value)
+    # the sweep refuses at the first vertex past 64 bits, j = 51, as count_spectral does, with
+    # the same text under either MAX_BITS; at level 0 column 51 is empty, so the first is j = 52
+    for max_bits in (96, 64):
+        monkeypatch.setattr(spectral, "MAX_BITS", max_bits)
+        for k, i, j in ((6, 1, 51), (0, 0, 52)):
+            with pytest.raises(PrecisionExhaustedError) as swept:
+                spectral_columns(k, 60)
+            with pytest.raises(PrecisionExhaustedError) as single:
+                count_spectral(k, i, j)
+            assert f"(k={k}, i={i}, j={j}) within {max_bits} bits" in str(swept.value)
+            assert str(swept.value) == str(single.value)
 
 
 def test_growth_rate_values():
