@@ -15,22 +15,23 @@ import sys
 
 # adjacency_power_row and endpoint_counts are not called here: bench/inproc.py wraps cli's names
 from .diagram import (
-    MAX_ENTRIES,
     CountTable,
     TableBudgetError,
+    _check_budget,
     _check_nonneg,
     adjacency_power_row,
     adjacency_power_rows,
+    admit_table,
     build_table,
     count_dp,
     count_matrix_power,
-    table_size,
     vertex_heights,
 )
 from .dyck import MAX_LENGTH, endpoint_counts, endpoint_tallies, enumerate_count
 from .genfunc import LinearRecurrence, decimate, gf_closed_form, recurrence_from_gf, series_coeffs
 from .spectral import (
     PrecisionExhaustedError,
+    admit_columns,
     count_spectral,
     empirical_rate,
     growth_rate,
@@ -154,12 +155,8 @@ def table_to_pretty(table: CountTable) -> str:
     The layout has a row for every height up to k, so it is refused with
     TableBudgetError when it would hold more than MAX_ENTRIES cells.
     """
-    cells = (table.k + 1) * (table.jmax + 1)
-    if cells > MAX_ENTRIES:
-        raise TableBudgetError(
-            f"pretty table for k={table.k}, jmax={table.jmax} needs {cells} cells,"
-            f" budget is {MAX_ENTRIES}"
-        )
+    _check_budget(f"pretty table for k={table.k}, jmax={table.jmax} needs",
+                  (table.k + 1) * (table.jmax + 1), "cells")
     # counts are nonnegative, so the largest is the widest
     width = max(len(str(max(map(max, table.columns)))), len(str(table.jmax)))
     blank = " " * width
@@ -279,9 +276,12 @@ def _cmd_verify(args) -> int:
     if "dyck" in backends and args.jmax > MAX_LENGTH:
         raise ValueError(f"the dyck backend enumerates at most {MAX_LENGTH} steps; lower --jmax")
     # a level above jmax sweeps what level jmax sweeps: run levels up to jmax, count the rest
-    tasks = [(k, args.jmax, backends) for k in range(min(args.kmax, args.jmax) + 1)]
-    queries = sum(table_size(k, args.jmax) for k, _, _ in tasks)
-    queries += max(args.kmax - args.jmax, 0) * table_size(args.jmax, args.jmax)
+    sizes = [admit_table(k, args.jmax) for k in range(min(args.kmax, args.jmax) + 1)]
+    tasks = [(k, args.jmax, backends) for k in range(len(sizes))]  # all admitted, tables first,
+    if "spectral" in backends:  # then the spectral precision, all before any level runs
+        for k, _, _ in tasks:
+            admit_columns(k, args.jmax)
+    queries = sum(sizes) + max(args.kmax - args.jmax, 0) * sizes[-1]  # sizes[-1]: level jmax
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor

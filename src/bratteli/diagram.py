@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import add, mul
 
 
-MAX_ENTRIES = 1_000_000  # budget of a table, in vertices (or cells of a layout)
+MAX_ENTRIES = 1_000_000  # the size budget: vertices, cells or terms, or 4096 times as many bits
 
 
 class TableBudgetError(RuntimeError):
@@ -116,29 +116,29 @@ def table_size(k: int, jmax: int) -> int:
     return size
 
 
-def build_table(k: int, jmax: int) -> CountTable:
-    """Tabulate every count with j <= jmax: the columns of dp_columns(k, jmax).
+def _check_budget(what: str, need: int, unit: str, per_entry: int = 1) -> None:
+    if need > MAX_ENTRIES * per_entry:  # the package's one size refusal
+        raise TableBudgetError(f"{what} {need} {unit}, budget is {MAX_ENTRIES * per_entry}")
 
-    Raises TableBudgetError before allocating anything if the table would
-    hold more than MAX_ENTRIES vertices, or counts of more than MAX_ENTRIES
-    * 4096 bits in all.
-    """
+
+def admit_table(k: int, jmax: int) -> int:
+    """table_size(k, jmax), once build_table(k, jmax) is admitted: TableBudgetError if the table
+    would hold more than MAX_ENTRIES vertices, or counts of more than MAX_ENTRIES * 4096 bits."""
     _check_nonneg(k=k, jmax=jmax)
-    need = table_size(k, jmax)
-    if need > MAX_ENTRIES:
-        raise TableBudgetError(
-            f"table for k={k}, jmax={jmax} needs {need} entries, budget is {MAX_ENTRIES}"
-        )
+    need, what = table_size(k, jmax), f"table for k={k}, jmax={jmax} needs"
+    _check_budget(what, need, "entries")
     # every count is at most lam**jmax, where lam = 2 cos(pi/(k+2)) is the spectral radius at
     # level min(k, jmax): floor(jmax log2 lam) + 1 bits, which the ceiling still bounds when the
     # float log2 is low by less than 1
     lam = 2 * math.cos(math.pi / (min(k, jmax) + 2))
     bits = min(jmax, math.ceil(jmax * math.log2(lam)) + 1)
-    if need * bits > MAX_ENTRIES * 4096:
-        raise TableBudgetError(
-            f"table for k={k}, jmax={jmax} needs up to {need * bits} bits of counts,"
-            f" budget is {MAX_ENTRIES * 4096}"
-        )
+    _check_budget(f"{what} up to", need * bits, "bits of counts", 4096)
+    return need
+
+
+def build_table(k: int, jmax: int) -> CountTable:
+    """Every count with j <= jmax, as dp_columns(k, jmax), once admit_table(k, jmax) admits it."""
+    admit_table(k, jmax)
     return CountTable(k, jmax, list(dp_columns(k, jmax)))
 
 
@@ -170,12 +170,18 @@ def adjacency_power_rows(k: int, jmax: int) -> list:
     """adjacency_power_row(k, j) for j = 0..jmax, each power one step from power j // 2.
 
     Binary powering from the high bit passes through power j // 2 last, so the rows are equal.
+    Only powers m <= jmax // 2 are kept, 2(k+2) entries of m + 1 bits or fewer, in the bit budget.
     """
     _check_nonneg(k=k, jmax=jmax)
-    powers = [[1] + [0] * (2 * k + 3)]
-    for j in range(1, jmax + 1):
-        powers.append(_power_step(powers[j // 2], j & 1))
-    return [[c[i] - c[-i - 2] for i in range(k + 1)] for c in powers]
+    _check_budget(f"matrix sweep for k={k}, jmax={jmax} needs up to",
+                  (k + 2) * (jmax // 2 + 1) * (jmax // 2 + 2), "bits of powers", 4096)
+    powers, rows = [], []
+    for j in range(jmax + 1):
+        c = _power_step(powers[j // 2], j & 1) if j else [1] + [0] * (2 * k + 3)
+        if j <= jmax // 2:
+            powers.append(c)
+        rows.append([c[i] - c[-i - 2] for i in range(k + 1)])
+    return rows
 
 
 def count_matrix_power(k: int, i: int, j: int) -> int:

@@ -23,12 +23,13 @@ mpmath supplies the arbitrary-precision reals; everything else is explicit.
 It is imported at first use, so ``import bratteli`` stays cheap.
 """
 
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from .diagram import (MAX_ENTRIES, TableBudgetError, _check_height, _check_nonneg, count_dp,
-                      is_vertex, vertex_heights)
+from .diagram import (_check_budget, _check_height, _check_nonneg, count_dp, is_vertex,
+                      vertex_heights)
 
 MAX_BITS = 1 << 16  # count_spectral refuses a length that needs more precision
 
@@ -87,8 +88,7 @@ def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposit
     the budget of a table, raise TableBudgetError before anything is computed.
     """
     _check_height(k, i)
-    if k + 1 > MAX_ENTRIES:
-        raise TableBudgetError(f"residues for k={k} need {k + 1} terms, budget is {MAX_ENTRIES}")
+    _check_budget(f"residues for k={k} need", k + 1, "terms")
     import mpmath
     with mpmath.workprec(bits):
         terms = tuple(zip(_weights(k, i, bits, k + 1), _angles(k, bits)[1]))
@@ -143,13 +143,21 @@ def count_spectral(k: int, i: int, j: int) -> int:
     return _column(k, j, (i,), {})[0] if is_vertex(k, i, j) else 0
 
 
+def admit_columns(k: int, jmax: int) -> None:
+    """Raise spectral_columns(k, jmax)'s refusal, if any, evaluating nothing: _bits grows with j."""
+    first = bisect_right(range(jmax + 1), MAX_BITS, lo=1, key=_bits)
+    for j in range(first, min(first + 2, jmax + 1)):  # at level 0 an odd column is empty
+        _column(k, j, vertex_heights(k, j), {})  # refuses before evaluating anything
+
+
 def spectral_columns(k: int, jmax: int) -> list:
     """count_spectral(k, i, j) at every vertex with j <= jmax, in columns of heights 0..min(k, j).
 
-    Each column raises its poles to the j-th power once, and each height's weights are
-    computed once per level and precision.
+    Each column raises its poles to the j-th power once, each height's weights are computed once
+    per level and precision, and admit_columns refuses a length past MAX_BITS before any column.
     """
     _check_nonneg(k=k, jmax=jmax)
+    admit_columns(k, jmax)
     columns = [[0] * (min(k, j) + 1) for j in range(jmax + 1)]
     weights = {}
     for j, col in enumerate(columns):

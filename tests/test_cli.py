@@ -31,7 +31,13 @@ from bratteli.genfunc import (
     series_coeffs,
     u_reversed,
 )
-from bratteli.spectral import count_spectral, empirical_rate, growth_rate, residue_decomposition
+from bratteli.spectral import (
+    PrecisionExhaustedError,
+    count_spectral,
+    empirical_rate,
+    growth_rate,
+    residue_decomposition,
+)
 
 
 def run(argv):
@@ -601,6 +607,37 @@ def test_verify_mismatch_at_two_levels_is_the_same_for_any_jobs(monkeypatch):
     assert out == ("dp vs gf: MISMATCH at k=2 i=2 j=6: dp=4 gf=5\n"
                    "dp vs spectral: ok (83 queries)\n"
                    "verification failed (kmax=5, jmax=8)\n")
+
+
+def _no_sweeps(monkeypatch):
+    for name in cli.BACKENDS:
+        def sweep(k, jmax, name=name):
+            raise AssertionError(f"{name} swept level {k} for jmax={jmax} past a refusal")
+
+        _patch_sweep(monkeypatch, name, sweep)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("backends", ["gf,dp", "dp,gf", "gf,matrix"])
+def test_verify_refuses_a_table_over_budget_before_any_level(monkeypatch, backends, jobs):
+    # every level's table is admitted in k order before the first runs, so level 2's counts of
+    # up to sqrt(2)**400000 are refused whatever the backends' order, dp or not, and the pool
+    _no_sweeps(monkeypatch)
+    argv = ["verify", "--kmax", "2", "--jmax", "400000", "--backends", backends, "--jobs", jobs]
+    assert run(argv) == (2, "", (
+        "error: table for k=2, jmax=400000 needs up to 120001400002 bits of counts,"
+        " budget is 4096000000\n"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_refuses_spectral_precision_before_any_level(monkeypatch, jobs):
+    # with 64 bits, level 0 first refuses column 52 (51 is empty), as count_spectral does
+    monkeypatch.setattr(spectral, "MAX_BITS", 64)
+    with pytest.raises(PrecisionExhaustedError) as single:
+        count_spectral(0, 0, 52)
+    _no_sweeps(monkeypatch)
+    assert run(["verify", "--kmax", "1", "--jmax", "60", "--jobs", jobs]) == (
+        2, "", f"error: {single.value}\n")
 
 
 def test_verify_task_returns_mismatches_not_columns():

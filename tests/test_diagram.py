@@ -132,6 +132,28 @@ def test_matrix_power_matches_dp():
             assert rows[j] == adjacency_power_row(k, j) == col + [0] * (k + 1 - len(col)), (k, j)
 
 
+def test_matrix_rows_keep_only_the_powers_squared_again(monkeypatch):
+    import tracemalloc
+    # powers 0..2000 of 6 entries, each of at most m + 1 bits, hold about 1.5 MB; keeping all
+    # 4001 powers peaked at 3.8 MB
+    tracemalloc.start()
+    rows = adjacency_power_rows(1, 4000)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2_500_000
+    assert rows[3999] == adjacency_power_row(1, 3999) and rows[4000] == adjacency_power_row(1, 4000)
+
+    def no_power(c, bit):
+        raise AssertionError("a power was built past the budget")
+
+    # 10**6 kept powers of up to 10**6 bits: refused before the first
+    monkeypatch.setattr(diagram, "_power_step", no_power)
+    with pytest.raises(TableBudgetError) as refused:
+        adjacency_power_rows(0, 1999998)
+    assert str(refused.value) == ("matrix sweep for k=0, jmax=1999998 needs up to 2000002000000"
+                                  " bits of powers, budget is 4096000000")
+
+
 def test_matrix_power_skips_unreachable_targets(monkeypatch):
     def refuse(k, j):
         raise AssertionError(f"adjacency_power_row({k}, {j}) for an unreachable target")

@@ -85,6 +85,21 @@ GOLDEN = [
      EMPTY, "error: unknown backend 'nope'; choose from dp, dyck, gf, spectral, matrix\n", 2),
     (["verify", "--kmax", "2", "--jmax", "30", "--backends", "dp,dyck"],
      EMPTY, "error: the dyck backend enumerates at most 26 steps; lower --jmax\n", 2),
+    (["verify", "--kmax", "2", "--jmax", "400000", "--backends", "gf,dp"],
+     EMPTY, (
+        "error: table for k=2, jmax=400000 needs up to 120001400002 bits of counts,"
+        " budget is 4096000000\n"
+    ), 2),
+    (["verify", "--kmax", "1", "--jmax", "65600", "--jobs", "2"],
+     EMPTY, (
+        "error: no stable integer for (k=0, i=0, j=65514) within 65536 "
+        "bits (last residual: never evaluated)\n"
+    ), 2),
+    (["verify", "--kmax", "0", "--jmax", "1999998", "--backends", "matrix,dp"],
+     EMPTY, (
+        "error: matrix sweep for k=0, jmax=1999998 needs up to 2000002000000 bits of powers,"
+        " budget is 4096000000\n"
+    ), 2),
     (["count", "--k", "2", "--i", "0", "--j", "4", "--backend", "bogus"],
      EMPTY, COUNT_USAGE
         + "bratteli count: error: argument --backend: invalid choice: 'bogus' "

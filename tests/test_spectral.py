@@ -156,7 +156,12 @@ def test_precision_exhaustion(monkeypatch):
     with pytest.raises(PrecisionExhaustedError, match="never evaluated"):
         count_spectral(6, 0, 60)
     # the sweep refuses at the first vertex past 64 bits, j = 51, as count_spectral does, with
-    # the same text under either MAX_BITS; at level 0 column 51 is empty, so the first is j = 52
+    # the same text under either MAX_BITS; at level 0 column 51 is empty, so the first is j = 52.
+    # Both refuse before evaluating anything, so no angle table is built
+    def no_angles(k, bits):
+        raise AssertionError(f"angle table built for k={k} at {bits} bits")
+
+    monkeypatch.setattr(spectral, "_angles", no_angles)
     for max_bits in (96, 64):
         monkeypatch.setattr(spectral, "MAX_BITS", max_bits)
         for k, i, j in ((6, 1, 51), (0, 0, 52)):
