@@ -21,6 +21,7 @@ from .diagram import (
     _check_nonneg,
     adjacency_power_row,
     adjacency_power_rows,
+    admit_rows,
     admit_table,
     build_table,
     count_dp,
@@ -278,9 +279,10 @@ def _cmd_verify(args) -> int:
     # a level above jmax sweeps what level jmax sweeps: run levels up to jmax, count the rest
     sizes = [admit_table(k, args.jmax) for k in range(min(args.kmax, args.jmax) + 1)]
     tasks = [(k, args.jmax, backends) for k in range(len(sizes))]  # all admitted, tables first,
-    if "spectral" in backends:  # then the spectral precision, all before any level runs
-        for k, _, _ in tasks:
-            admit_columns(k, args.jmax)
+    for name, admit in (("spectral", admit_columns), ("matrix", admit_rows)):  # then the spectral
+        if name in backends:  # precision and the matrix powers, all before any level runs
+            for k, _, _ in tasks:
+                admit(k, args.jmax)
     queries = sum(sizes) + max(args.kmax - args.jmax, 0) * sizes[-1]  # sizes[-1]: level jmax
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(tasks) > 1:

@@ -166,15 +166,21 @@ def adjacency_power_row(k: int, j: int) -> list:
     return [c[i] - c[-i - 2] for i in range(k + 1)]
 
 
+def admit_rows(k: int, jmax: int) -> None:
+    """Raise adjacency_power_rows(k, jmax)'s TableBudgetError, if any, computing nothing: its powers
+    m <= jmax // 2 have 2(k+2) entries of m + 1 bits or fewer, in the bit budget."""
+    _check_budget(f"matrix sweep for k={k}, jmax={jmax} needs up to",
+                  (k + 2) * (jmax // 2 + 1) * (jmax // 2 + 2), "bits of powers", 4096)
+
+
 def adjacency_power_rows(k: int, jmax: int) -> list:
     """adjacency_power_row(k, j) for j = 0..jmax, each power one step from power j // 2.
 
     Binary powering from the high bit passes through power j // 2 last, so the rows are equal.
-    Only powers m <= jmax // 2 are kept, 2(k+2) entries of m + 1 bits or fewer, in the bit budget.
+    Only powers m <= jmax // 2 are kept, and admit_rows(k, jmax) admits them first.
     """
     _check_nonneg(k=k, jmax=jmax)
-    _check_budget(f"matrix sweep for k={k}, jmax={jmax} needs up to",
-                  (k + 2) * (jmax // 2 + 1) * (jmax // 2 + 2), "bits of powers", 4096)
+    admit_rows(k, jmax)
     powers, rows = [], []
     for j in range(jmax + 1):
         c = _power_step(powers[j // 2], j & 1) if j else [1] + [0] * (2 * k + 3)

@@ -11,21 +11,18 @@ times 2/(k+2), rewritten by U_m(cos t) = sin((m+1) t) / sin t.  When i + j is
 even the terms of r and k+2-r are equal, so the sum is taken over the
 r < (k+2)/2 half and doubled.
 
-Evaluated in binary floating point the sum is only close to the true
-integer, so one evaluator, called by ``count_spectral`` for one vertex and by
-verify's sweep ``spectral_columns`` for whole columns, evaluates it once per
-vertex, at a precision where an a priori rounding-error bound keeps it within
-1/4 of the count: the nearest integer is certified.  The bound rests on an
-angle table whose every sine and cosine is checked against an interval
-enclosure.
-
-mpmath supplies the arbitrary-precision reals; everything else is explicit.
-It is imported at first use, so ``import bratteli`` stays cheap.
+Counts are evaluated in Python integers at a scale 2**F, from a table of
+sines and poles each within one unit: one evaluator, for ``count_spectral``'s
+vertex and the columns of verify's sweep ``spectral_columns``, forms each
+count as one integer dot product within 1/32 of it by an a priori bound, so
+its nearest integer is certified.  mpmath, imported at first use, serves
+``residue_decomposition``, ``growth_rate`` and ``empirical_rate`` only.
 """
 
 from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
+from math import isqrt
 from operator import mul
 
 from .diagram import (_check_budget, _check_height, _check_nonneg, count_dp, is_vertex,
@@ -71,11 +68,11 @@ def _angles(k: int, bits: int) -> tuple:
     return tuple(sines[:n]), poles
 
 
-def _weights(k: int, i: int, bits: int, count: int) -> list:
-    # w_r for r = 1..count, in the caller's working precision: sin((i+1) theta_r) is the table's
-    # sine at (i+1) r mod (k+2), negated after an odd number of half-turns (sin(x + pi) = -sin(x))
-    sines, n = _angles(k, bits)[0], k + 2
-    return [2 * (-1) ** ((i + 1) * r // n) * sines[r] * sines[(i + 1) * r % n] / n
+def _products(sines, i: int, count: int) -> list:
+    # 2 sin(theta_r) sin((i+1) theta_r), r = 1..count, from a level's sines of any type: the sine at
+    # (i+1) r mod (k+2), negated after an odd number of half-turns (sin(x + pi) = -sin(x))
+    n = len(sines)
+    return [2 * (-1) ** ((i + 1) * r // n) * sines[r] * sines[(i + 1) * r % n]
             for r in range(1, count + 1)]
 
 
@@ -91,77 +88,137 @@ def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposit
     _check_budget(f"residues for k={k} need", k + 1, "terms")
     import mpmath
     with mpmath.workprec(bits):
-        terms = tuple(zip(_weights(k, i, bits, k + 1), _angles(k, bits)[1]))
+        sines, poles = _angles(k, bits)
+        terms = tuple(zip((p / (k + 2) for p in _products(sines, i, k + 1)), poles))
     return SpectralDecomposition(k=k, i=i, bits=bits, terms=terms)
 
 
+def _pi(bits: int) -> int:
+    # 2**bits pi by Machin's formula, 16 atan(1/5) - 4 atan(1/239), each floored once from
+    # atan(1/x) = (1/x) sum_t prod_{0 < s <= t} (1 - 2s) / ((2s+1) x**2), summed exactly by binary
+    # splitting over the t < bits / (2 log2 x) that leave a tail under 2**-bits
+    def split(x, a, b):  # over s in [a, b): the numerators' product P, denominators' Q, Q * sum
+        if b - a == 1:
+            return (1 - 2 * a, (2 * a + 1) * x * x, 1 - 2 * a) if a else (1, 1, 1)
+        (pa, qa, ta), (pb, qb, tb) = split(x, a, (a + b) // 2), split(x, (a + b) // 2, b)
+        return pa * pb, qa * qb, ta * qb + pa * tb
+
+    def atan_inv(x):
+        _, q, t = split(x, 0, bits // (2 * x.bit_length() - 2) + 1)
+        return (t << bits) // (q * x)
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+@lru_cache(maxsize=4096)
+def _fixed(level: int, bits: int) -> tuple:
+    # 2**bits sin(m pi/n) for m < n and the poles 2**bits 2 cos(r pi/n), 0 < r < n, n = level + 2,
+    # each within one unit: cos(pi/n) is the Taylor series of cos x, x = pi/(n 2**rr), doubled rr
+    # times by cos 2t = 2 cos(t)**2 - 1, z = e**(i pi/n) takes its sine from an integer square root,
+    # and z**m comes by rotation for m <= n/2, mirrored by theta -> pi - theta.  In units of 2**-w,
+    # w = bits + guard < 2 bits, and with every error below 2**(guard-2):
+    # - pi is within 16 * 2 + 4 * 2 (floors, tails), x within 1 + 40/8 = 6, y = x**2 within 8;
+    # - a Taylor term, floored after y is cut to the bits that reach it, is within 7 of the series
+    #   of x: N <= w/2 + 1 quartering terms and a tail under 8 put cos x within D0 <= 4w + 15;
+    # - a doubling takes an error D to 4D + 2 D**2 2**-w + 1, so cos(pi/n) is within
+    #   D < 2 4**rr (D0 + 1), its sine within D n/2 + 1, as cot(pi/n) < n/2, and a rotation adds
+    #   z's error and 2: z**m is within n (n D + 3) < 10 n**2 w 4**rr <= 2**(guard-2), so a sine,
+    #   or a pole rounded after doubling, is within 1/2 + 1/2.
+    n, rr = level + 2, isqrt(bits) // 2
+    guard = 2 * rr + 2 * n.bit_length() + bits.bit_length() + 7
+    w = bits + guard
+    x = _pi(w) // (n << rr)
+    y, c, term, m = x * x >> w, 1 << w, 1 << w, 0  # cos x = 1 - y/2! + y**2/4! - ...
+    while term:
+        cut = max(w - term.bit_length(), 0)
+        term, m = (term * (y >> cut) >> (w - cut)) // ((m + 1) * (m + 2)), m + 2
+        c += term if m % 4 == 0 else -term
+    for _ in range(rr):
+        c = (c * c >> (w - 1)) - (1 << w)
+    s = isqrt((1 << 2 * w) - c * c)
+    sines, poles, a, b = [0] * n, [0] * n, 1 << w, 0
+    for m in range(n // 2 + 1):
+        sines[m] = sines[-m] = (b + (1 << (guard - 1))) >> guard
+        pole = (a + (1 << (guard - 2))) >> (guard - 1)
+        poles[-m], poles[m] = -pole, pole
+        a, b = (a * c - b * s) >> w, (a * s + b * c) >> w
+    return tuple(sines), tuple(poles[1:])
+
+
 def _bits(j: int) -> int:
-    # With u = 2**-bits, the doubled half-spectrum sum is within 2**(j+1) (16 (j+2) + 5) u
-    # of the count, under 1/4 (53/256 to first order) from j + bit_length(j) + 8 bits on:
-    # - _angles proves each sine and cosine within 16u, so lambda within 32u and, as
-    #   |lambda| <= 2, lambda**j within 16 j 2**j u; a weight's two sines add 32u in all;
-    # - five roundings of at most u |w| 2**j: two per weight (the product, / (k+2)),
-    #   lam ** j (mpmath 1.3's mpf_pow_int keeps 4*bitcount(j)+4 guard bits, rounds
-    #   once), the product, and fsum (mpf_sum adds exactly bar terms 2**-2bits below the
-    #   running sum, rounds once); sum |w_r| <= 2/pi < 1 over the half spectrum.
-    # Rounded up to a multiple of 64, nearby lengths share one angle table.
+    # Counts of length j <= J at level <= J are evaluated at scale 2**F, F = _bits(J).  In units of
+    # 2**-F, over h <= (J+1)/2 poles, the exact dot product doubled is within 2**(j+1-F) (5h/2 (1 +
+    # j 2**-F) + j) < 2**(J+1-F) 3 (J+1) of the count, below 3/128 from F = J + bit_length(J) + 8
+    # on (rounded up to a multiple of 64, to share tables), since:
+    # - _fixed gives every sine and pole within 1, and |lambda_r| <= 2;
+    # - a weight 2 S_r S_m / (n 2**F), floored, is within 1 + (4 + 2**(1-F))/n < 5/2 as n >= 3,
+    #   and sum |w_r| <= 2h/n < 1;
+    # - a product of powers within E_a and E_b, truncated, is within 2**a E_b + 2**b E_a +
+    #   E_a E_b 2**-F + 1: binary powering and column steps keep lambda**m within (2m-1) 2**(m-1).
     return -(-(j + j.bit_length() + 8) // 64) * 64
 
 
-def _column(k: int, j: int, heights, weights: dict) -> list:
-    # the certified counts at the vertices (i, j), i in heights ascending, at level min(k, j);
-    # each height's weights are kept in the caller's dict, keyed by (level, i, bits)
-    if j == 0 or not heights:  # no vertex, or the empty path: the halved sum drops the pole 0
-        return [1] * len(heights)
-    bits = _bits(j)
-    if bits > MAX_BITS:
-        raise PrecisionExhaustedError(
-            f"no stable integer for (k={k}, i={heights[0]}, j={j}) within {MAX_BITS} bits"
-            " (last residual: never evaluated)"
-        )
-    import mpmath
-    level = min(k, j)
-    half = (level + 1) // 2
-    with mpmath.workprec(bits):
-        powers = [lam ** j for lam in _angles(level, bits)[1][:half]]
-        for i in heights:
-            if (level, i, bits) not in weights:
-                weights[level, i, bits] = _weights(level, i, bits, half)
-        return [int(mpmath.nint(2 * mpmath.fsum(map(mul, weights[level, i, bits], powers))))
-                for i in heights]
+def _checked_bits(k: int, j: int, heights) -> int:
+    # _bits(j), or the refusal of column j's first vertex when that is past MAX_BITS
+    if heights and _bits(j) > MAX_BITS:
+        raise PrecisionExhaustedError(f"no stable integer for (k={k}, i={heights[0]}, j={j}) within"
+                                      f" {MAX_BITS} bits (last residual: never evaluated)")
+    return _bits(j)
+
+
+def _column(sines: tuple, bits: int, heights, powers, weights: dict) -> list:
+    # the counts at a column's heights (j > 0) from its pole powers; the caller's dict keeps weights
+    for i in heights:
+        if i not in weights:
+            weights[i] = [p // (len(sines) << bits) for p in _products(sines, i, len(powers))]
+    return [sum(map(mul, weights[i], powers)) + (1 << 2 * bits - 2) >> 2 * bits - 1
+            for i in heights]
 
 
 def count_spectral(k: int, i: int, j: int) -> int:
-    """Path count via the spectral power sum, evaluated once and certified.
+    """Path count via the spectral power sum, evaluated once in integers and certified.
 
-    Runs at level min(k, j), since no path of j steps climbs higher, and at
-    about j + log2(j) + 8 bits, where an a priori bound keeps the rounding error
-    below 1/4.  Lengths that need more than MAX_BITS (j > 65512) raise
-    PrecisionExhaustedError.  Unreachable targets count zero, as in count_dp.
+    Runs at level min(k, j), since no path of j steps climbs higher, at scale 2**F with F
+    about j + log2(j) + 8, where an a priori bound keeps the error below 1/32; each pole is
+    raised to the j-th power by binary powering.  Lengths that need more than MAX_BITS
+    (j > 65512) raise PrecisionExhaustedError.  Unreachable targets count zero, as in count_dp.
     """
     _check_nonneg(k=k, i=i, j=j)
-    return _column(k, j, (i,), {})[0] if is_vertex(k, i, j) else 0
+    if j == 0 or not is_vertex(k, i, j):  # the empty path: the halved sum drops the pole 0
+        return int(is_vertex(k, i, j))
+    bits, level = _checked_bits(k, j, (i,)), min(k, j)
+    sines, poles = _fixed(level, bits)
+    powers = poles[:(level + 1) // 2]  # to the j-th power by binary powering from the high bit
+    for bit in bin(j)[3:]:
+        powers = [power * power >> bits for power in powers]
+        if bit == "1":
+            powers = [power * pole >> bits for power, pole in zip(powers, poles)]
+    return _column(sines, bits, (i,), powers, {})[0]
 
 
 def admit_columns(k: int, jmax: int) -> None:
     """Raise spectral_columns(k, jmax)'s refusal, if any, evaluating nothing: _bits grows with j."""
     first = bisect_right(range(jmax + 1), MAX_BITS, lo=1, key=_bits)
     for j in range(first, min(first + 2, jmax + 1)):  # at level 0 an odd column is empty
-        _column(k, j, vertex_heights(k, j), {})  # refuses before evaluating anything
+        _checked_bits(k, j, vertex_heights(k, j))
 
 
 def spectral_columns(k: int, jmax: int) -> list:
     """count_spectral(k, i, j) at every vertex with j <= jmax, in columns of heights 0..min(k, j).
 
-    Each column raises its poles to the j-th power once, each height's weights are computed once
-    per level and precision, and admit_columns refuses a length past MAX_BITS before any column.
+    Every column runs at level min(k, jmax) and scale _bits(jmax), column j's pole powers are
+    column j - 1's times the poles, each height's weights are computed once, and admit_columns
+    refuses a length past MAX_BITS before any column.
     """
     _check_nonneg(k=k, jmax=jmax)
     admit_columns(k, jmax)
-    columns = [[0] * (min(k, j) + 1) for j in range(jmax + 1)]
-    weights = {}
-    for j, col in enumerate(columns):
-        col[j % 2::2] = _column(k, j, vertex_heights(k, j), weights)  # the heights of column j
+    level, bits = min(k, jmax), _bits(jmax)
+    sines, poles = _fixed(level, bits) if level else ((), ())  # level 0 has no pole to raise
+    powers, weights, columns = [1 << bits] * ((level + 1) // 2), {}, []
+    for j in range(jmax + 1):
+        col = [0] * (min(k, j) + 1)
+        col[j % 2::2] = _column(sines, bits, vertex_heights(k, j), powers, weights) if j else [1]
+        columns.append(col)
+        powers = [power * pole >> bits for power, pole in zip(powers, poles)]
     return columns
 
 

@@ -88,7 +88,7 @@ LEVEL_CALLS = {
     "dp": [(diagram, "dp_columns")],
     "matrix": [(diagram, "adjacency_power_row"), (diagram, "adjacency_power_rows")],
     "dyck": [(dyck, "endpoint_counts"), (dyck, "endpoint_tallies")],
-    "spectral": [(spectral, "_angles")],
+    "spectral": [(spectral, "_fixed")],
     "gf": [(cli, "gf_closed_form")],
 }
 
@@ -130,7 +130,7 @@ def test_count_via_clamps_k_to_j(monkeypatch, backend, j):
     "module, inner, count",
     [(diagram, "adjacency_power_row", count_matrix_power),
      (dyck, "endpoint_counts", enumerate_count),
-     (spectral, "_angles", count_spectral)],
+     (spectral, "_fixed", count_spectral)],
     ids=["matrix", "dyck", "spectral"],
 )
 @pytest.mark.parametrize("j", [0, 1, 5, 12])
@@ -303,10 +303,11 @@ def test_cheap_commands_import_no_heavy_module():
         ["count", "--k", "4", "--i", "2", "--j", "40", "--backend", "matrix"],
         ["gf", "--k", "5", "--i", "0", "--even"],
         ["table", "--k", "3", "--jmax", "9", "--format", "json"],
+        ["count", "--k", "4", "--i", "2", "--j", "40", "--backend", "spectral"],
+        ["verify", "--kmax", "3", "--jmax", "10", "--jobs", "1"],
     ]
     assert _heavy_modules_loaded(argvs) == []
-    spectral_argv = ["count", "--k", "4", "--i", "2", "--j", "40", "--backend", "spectral"]
-    assert _heavy_modules_loaded([spectral_argv]) == ["mpmath"]
+    assert _heavy_modules_loaded([["residues", "--k", "3", "--i", "1"]]) == ["mpmath"]
 
 
 def test_table_csv():
@@ -626,6 +627,16 @@ def test_verify_refuses_a_table_over_budget_before_any_level(monkeypatch, backen
     argv = ["verify", "--kmax", "2", "--jmax", "400000", "--backends", backends, "--jobs", jobs]
     assert run(argv) == (2, "", (
         "error: table for k=2, jmax=400000 needs up to 120001400002 bits of counts,"
+        " budget is 4096000000\n"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_refuses_matrix_powers_before_any_level(monkeypatch, jobs):
+    # levels 0 and 1 keep their powers in the budget and level 2's do not, so no level is swept
+    _no_sweeps(monkeypatch)
+    argv = ["verify", "--kmax", "2", "--jmax", "65000", "--backends", "gf,matrix", "--jobs", jobs]
+    assert run(argv) == (2, "", (
+        "error: matrix sweep for k=2, jmax=65000 needs up to 4225390008 bits of powers,"
         " budget is 4096000000\n"))
 
 

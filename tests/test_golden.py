@@ -100,6 +100,11 @@ GOLDEN = [
         "error: matrix sweep for k=0, jmax=1999998 needs up to 2000002000000 bits of powers,"
         " budget is 4096000000\n"
     ), 2),
+    (["verify", "--kmax", "2", "--jmax", "65000", "--backends", "gf,matrix"],
+     EMPTY, (
+        "error: matrix sweep for k=2, jmax=65000 needs up to 4225390008 bits of powers,"
+        " budget is 4096000000\n"
+    ), 2),
     (["count", "--k", "2", "--i", "0", "--j", "4", "--backend", "bogus"],
      EMPTY, COUNT_USAGE
         + "bratteli count: error: argument --backend: invalid choice: 'bogus' "

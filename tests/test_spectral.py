@@ -1,8 +1,11 @@
+from fractions import Fraction
+from functools import lru_cache
+
 import mpmath
 import pytest
 
 from bratteli import spectral
-from bratteli.diagram import build_table, count_dp, vertex_heights
+from bratteli.diagram import build_table, count_dp, dp_columns, vertex_heights
 from bratteli.genfunc import chebyshev_u, poly_eval
 from bratteli.spectral import (
     PrecisionExhaustedError,
@@ -122,6 +125,56 @@ def test_count_spectral_at_40000_steps():
     assert count_spectral(2, 0, 40000) == count_dp(2, 0, 40000)
 
 
+def test_spectral_columns_match_dp_to_level_30():
+    # every level of a verify sweep of the levels k <= 30 to length 300
+    for k in range(31):
+        for j, (col, dp) in enumerate(zip(spectral_columns(k, 300), dp_columns(k, 300))):
+            assert col + [0] * (len(dp) - len(col)) == dp, (k, j)  # dp's columns are k + 1 high
+
+
+@lru_cache(maxsize=None)
+def _enclosure(angle: Fraction, bits: int) -> tuple:
+    # mpmath.iv enclosures of 2**bits 2 cos(angle pi) and 2**bits sin(angle pi), at the
+    # caller's interval precision; angles m/n recur across levels, so each is enclosed once
+    iv = mpmath.iv
+    boxes = mpmath.libmp.mpi_cos_sin((iv.pi * angle.numerator / angle.denominator)._mpi_, iv.prec)
+    return tuple(iv.ldexp(iv.make_mpf(box), bits + e) for box, e in zip(boxes, (1, 0)))
+
+
+def _off_enclosure(level: int, bits: int) -> list:
+    # the angles m whose sine or pole in _fixed(level, bits) is more than one unit of 2**-bits
+    # from its enclosure; m <= n/2 is enclosed and n - m checked as its mirror (n = level + 2).
+    # Every interval operation rounds outward, so an entry that passes is proven
+    n = level + 2
+    sines, poles = spectral._fixed(level, bits)
+    poles = (2 << bits, *poles)  # the pole of m = 0, which the table leaves out, is exact
+    off = []
+    with mpmath.ctx_mp.PrecisionManager(mpmath.iv, lambda _: bits + 8, None):
+        for m in range(n // 2 + 1):
+            cos, sin = _enclosure(Fraction(m, n), bits)
+            for angle, sign in ((m, 1), (n - m, -1))[:2 if m else 1]:
+                for got, true in ((sines[angle], sin), (poles[angle], sign * cos)):
+                    if not (-1 <= (got - true).a and (got - true).b <= 1):
+                        off.append(angle)
+    return off
+
+
+def test_fixed_table_is_within_one_unit(monkeypatch):
+    # every sine and pole that the integer counts use, against an interval enclosure
+    for bits in (64, 128, 704, 3072):
+        for level in range(70):
+            assert _off_enclosure(level, bits) == [], (level, bits)
+    # a pi 4 units of 2**-bits too high, far beyond the 40 units of 2**-w that the guard
+    # allows, puts the poles near pi/2 off by about 4 units
+    real = spectral._pi
+    monkeypatch.setattr(spectral, "_pi", lambda w: real(w) + (1 << (w - 128 + 2)))
+    spectral._fixed.cache_clear()
+    try:
+        assert _off_enclosure(12, 128) != []
+    finally:
+        spectral._fixed.cache_clear()
+
+
 def test_weakened_precision_is_caught(monkeypatch):
     # j - 32 bits cannot hold the 86-digit count, so the sweeps against dp
     # would catch a bound that is too weak; short columns keep a double's 53 bits
@@ -141,9 +194,7 @@ def test_angle_outside_its_enclosure_raises(monkeypatch):
     monkeypatch.setattr(mpmath, "cos_sin", pushed)
     spectral._angles.cache_clear()
     with pytest.raises(PrecisionExhaustedError, match="enclosure"):
-        count_spectral(6, 0, 40)
-    with pytest.raises(PrecisionExhaustedError, match="enclosure"):
-        spectral_columns(6, 40)
+        residue_decomposition(6, 0)
 
 
 def test_precision_exhaustion(monkeypatch):
@@ -157,11 +208,11 @@ def test_precision_exhaustion(monkeypatch):
         count_spectral(6, 0, 60)
     # the sweep refuses at the first vertex past 64 bits, j = 51, as count_spectral does, with
     # the same text under either MAX_BITS; at level 0 column 51 is empty, so the first is j = 52.
-    # Both refuse before evaluating anything, so no angle table is built
-    def no_angles(k, bits):
-        raise AssertionError(f"angle table built for k={k} at {bits} bits")
+    # Both refuse before evaluating anything, so no table is built
+    def no_table(level, bits):
+        raise AssertionError(f"table built for level {level} at {bits} bits")
 
-    monkeypatch.setattr(spectral, "_angles", no_angles)
+    monkeypatch.setattr(spectral, "_fixed", no_table)
     for max_bits in (96, 64):
         monkeypatch.setattr(spectral, "MAX_BITS", max_bits)
         for k, i, j in ((6, 1, 51), (0, 0, 52)):
