@@ -11,12 +11,12 @@ times 2/(k+2), rewritten by U_m(cos t) = sin((m+1) t) / sin t.  When i + j is
 even the terms of r and k+2-r are equal, so the sum is taken over the
 r < (k+2)/2 half and doubled.
 
-Counts are evaluated in Python integers at a scale 2**F, from a table of
-sines and poles each within one unit: one evaluator, for ``count_spectral``'s
-vertex and the columns of verify's sweep ``spectral_columns``, forms each
-count as one integer dot product within 1/32 of it by an a priori bound, so
-its nearest integer is certified.  mpmath, imported at first use, serves
-``residue_decomposition``, ``growth_rate`` and ``empirical_rate`` only.
+Counts are evaluated in Python integers at a scale 2**F, from one table of
+sines and poles each within one unit, ``_angles``: one evaluator, for
+``count_spectral``'s vertex and the columns of verify's sweep
+``spectral_columns``, forms each count as one integer dot product within 1/32
+of it by an a priori bound, so its nearest integer is certified.  mpmath, imported
+at first use, serves ``residue_decomposition``, ``growth_rate`` and ``empirical_rate``.
 """
 
 from bisect import bisect_right
@@ -44,30 +44,6 @@ class SpectralDecomposition(namedtuple("SpectralDecomposition", "k i bits terms"
     __slots__ = ()
 
 
-@lru_cache(maxsize=4096)
-def _angles(k: int, bits: int) -> tuple:
-    # sin(m pi/(k+2)) for m = 0..k+1 and the poles 2 cos(r pi/(k+2)) for r = 1..k+1,
-    # evaluated for m <= (k+2)/2 only and mirrored by theta -> pi - theta (the direct
-    # value is stored last, so the middle angle keeps its own); each is proven within
-    # 2**(4 - bits) of the true value by an mpmath.iv enclosure at the same precision
-    import mpmath
-    n = k + 2
-    sines, cosines = [None] * (n + 1), [None] * (n + 1)
-    with mpmath.workprec(bits), mpmath.ctx_mp.PrecisionManager(mpmath.iv, lambda _: bits, None):
-        pi, eps = +mpmath.pi, mpmath.ldexp(1, 4 - bits)
-        for m in range(n // 2 + 1):
-            exact = 2 * m == n  # theta = pi/2 (even k): the pole 0 and the sine 1 need no enclosure
-            c, s = (mpmath.mpf(0), mpmath.mpf(1)) if exact else mpmath.cos_sin(pi * m / n)
-            # one interval cos_sin (mpmath.iv.cos_sin would run it once for each)
-            boxes = () if exact else mpmath.libmp.mpi_cos_sin((mpmath.iv.pi * m / n)._mpi_, bits)
-            if not all(abs(mpmath.iv.make_mpf(box) - v) <= eps for box, v in zip(boxes, (c, s))):
-                raise PrecisionExhaustedError(f"sin/cos off enclosure at k={k}, {bits} bits")
-            sines[n - m], sines[m] = s, s
-            cosines[n - m], cosines[m] = -c, c
-        poles = tuple(2 * c for c in cosines[1:n])
-    return tuple(sines[:n]), poles
-
-
 def _products(sines, i: int, count: int) -> list:
     # 2 sin(theta_r) sin((i+1) theta_r), r = 1..count, from a level's sines of any type: the sine at
     # (i+1) r mod (k+2), negated after an odd number of half-turns (sin(x + pi) = -sin(x))
@@ -76,20 +52,43 @@ def _products(sines, i: int, count: int) -> list:
             for r in range(1, count + 1)]
 
 
+def _within(value, unit: int, scale: int, bits: int) -> bool:
+    # |value 2**scale - unit| <= 2**(scale + 4 - bits) - 1, exactly from value's sign, mantissa and
+    # exponent: value is then within 2**(4 - bits) of an x that unit is within one of at 2**scale
+    sign, man, exp, _ = value._mpf_
+    up, down = max(exp + scale, 0), max(-exp - scale, 0)
+    return abs((-1) ** sign * (man << up) - (unit << down)) <= ((1 << scale + 4 - bits) - 1) << down
+
+
 def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposition:
     """The exact partial-fraction data behind the power sum, as mpmath reals.
 
     Requires 0 <= i <= k.  weights w_r are twice the residues of
     U_{k-i}/U_{k+1} at the roots of U_{k+1}; poles are the corresponding
-    path-graph eigenvalues 2 cos(r pi/(k+2)).  More than MAX_ENTRIES terms,
-    the budget of a table, raise TableBudgetError before anything is computed.
+    path-graph eigenvalues 2 cos(r pi/(k+2)).  Each sine and cosine is proven
+    within 2**(4 - bits) against the integer table that counts use, or
+    PrecisionExhaustedError is raised.  More than MAX_ENTRIES terms, the budget
+    of a table, raise TableBudgetError before anything is computed.
     """
     _check_height(k, i)
     _check_budget(f"residues for k={k} need", k + 1, "terms")
     import mpmath
+    # the table's proof takes w < 2 scale, which holds from 64 bits at every level within budget
+    n, scale = k + 2, max(bits + 8, 64)
+    table_sines, table_poles = _angles(k, scale)
+    sines, poles = [0] * n, [None] * (n - 1)  # sin 0 = 0
     with mpmath.workprec(bits):
-        sines, poles = _angles(k, bits)
-        terms = tuple(zip((p / (k + 2) for p in _products(sines, i, k + 1)), poles))
+        pi = +mpmath.pi
+        # mpmath's cos and sin of m pi/n for 0 < m <= n/2, exactly 0 and 1 at pi/2 (even k), are
+        # mirrored by theta -> pi - theta, the direct value stored last so the middle keeps its own
+        for m in range(1, n // 2 + 1):
+            c, s = (mpmath.mpf(0), mpmath.mpf(1)) if 2 * m == n else mpmath.cos_sin(pi * m / n)
+            if not (_within(s, table_sines[m], scale, bits)
+                    and _within(c, table_poles[m - 1], scale + 1, bits)):
+                raise PrecisionExhaustedError(f"sin/cos off enclosure at k={k}, {bits} bits")
+            sines[-m], sines[m] = s, s
+            poles[-m], poles[m - 1] = -2 * c, 2 * c
+        terms = tuple(zip((p / n for p in _products(sines, i, k + 1)), poles))
     return SpectralDecomposition(k=k, i=i, bits=bits, terms=terms)
 
 
@@ -110,7 +109,7 @@ def _pi(bits: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _fixed(level: int, bits: int) -> tuple:
+def _angles(level: int, bits: int) -> tuple:
     # 2**bits sin(m pi/n) for m < n and the poles 2**bits 2 cos(r pi/n), 0 < r < n, n = level + 2,
     # each within one unit: cos(pi/n) is the Taylor series of cos x, x = pi/(n 2**rr), doubled rr
     # times by cos 2t = 2 cos(t)**2 - 1, z = e**(i pi/n) takes its sine from an integer square root,
@@ -149,7 +148,7 @@ def _bits(j: int) -> int:
     # 2**-F, over h <= (J+1)/2 poles, the exact dot product doubled is within 2**(j+1-F) (5h/2 (1 +
     # j 2**-F) + j) < 2**(J+1-F) 3 (J+1) of the count, below 3/128 from F = J + bit_length(J) + 8
     # on (rounded up to a multiple of 64, to share tables), since:
-    # - _fixed gives every sine and pole within 1, and |lambda_r| <= 2;
+    # - _angles gives every sine and pole within 1, and |lambda_r| <= 2;
     # - a weight 2 S_r S_m / (n 2**F), floored, is within 1 + (4 + 2**(1-F))/n < 5/2 as n >= 3,
     #   and sum |w_r| <= 2h/n < 1;
     # - a product of powers within E_a and E_b, truncated, is within 2**a E_b + 2**b E_a +
@@ -186,7 +185,7 @@ def count_spectral(k: int, i: int, j: int) -> int:
     if j == 0 or not is_vertex(k, i, j):  # the empty path: the halved sum drops the pole 0
         return int(is_vertex(k, i, j))
     bits, level = _checked_bits(k, j, (i,)), min(k, j)
-    sines, poles = _fixed(level, bits)
+    sines, poles = _angles(level, bits)
     powers = poles[:(level + 1) // 2]  # to the j-th power by binary powering from the high bit
     for bit in bin(j)[3:]:
         powers = [power * power >> bits for power in powers]
@@ -212,7 +211,7 @@ def spectral_columns(k: int, jmax: int) -> list:
     _check_nonneg(k=k, jmax=jmax)
     admit_columns(k, jmax)
     level, bits = min(k, jmax), _bits(jmax)
-    sines, poles = _fixed(level, bits) if level else ((), ())  # level 0 has no pole to raise
+    sines, poles = _angles(level, bits) if level else ((), ())  # level 0 has no pole to raise
     powers, weights, columns = [1 << bits] * ((level + 1) // 2), {}, []
     for j in range(jmax + 1):
         col = [0] * (min(k, j) + 1)
@@ -226,7 +225,7 @@ def growth_rate(k: int, bits: int = 53):
     """Dominant eigenvalue 2 cos(pi / (k+2)): the asymptotic growth per step."""
     _check_nonneg(k=k)
     import mpmath
-    with mpmath.workprec(bits):  # at k = 0, 2 cos(pi/2) is 0 exactly, as _angles has it
+    with mpmath.workprec(bits):  # at k = 0, 2 cos(pi/2) is 0 exactly, as residues has it
         return 2 * mpmath.cos(mpmath.pi / (k + 2)) if k else mpmath.mpf(0)
 
 

@@ -88,7 +88,7 @@ LEVEL_CALLS = {
     "dp": [(diagram, "dp_columns")],
     "matrix": [(diagram, "adjacency_power_row"), (diagram, "adjacency_power_rows")],
     "dyck": [(dyck, "endpoint_counts"), (dyck, "endpoint_tallies")],
-    "spectral": [(spectral, "_fixed")],
+    "spectral": [(spectral, "_angles")],
     "gf": [(cli, "gf_closed_form")],
 }
 
@@ -130,7 +130,7 @@ def test_count_via_clamps_k_to_j(monkeypatch, backend, j):
     "module, inner, count",
     [(diagram, "adjacency_power_row", count_matrix_power),
      (dyck, "endpoint_counts", enumerate_count),
-     (spectral, "_fixed", count_spectral)],
+     (spectral, "_angles", count_spectral)],
     ids=["matrix", "dyck", "spectral"],
 )
 @pytest.mark.parametrize("j", [0, 1, 5, 12])

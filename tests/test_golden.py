@@ -9,6 +9,7 @@ docs show what the CLI prints.
 
 import hashlib
 import io
+import json
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
@@ -133,6 +134,26 @@ def test_cli_bytes_are_pinned(monkeypatch, argv, digest, stderr, code):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
     assert err.getvalue() == stderr
     assert got == code
+
+
+# every height of the levels k <= 11 at three precisions, and of two wide levels at 96 bits
+RESIDUES = [["residues", "--k", str(k), "--i", str(i), "--bits", str(bits)]
+            for bits, levels in ((20, range(12)), (128, range(12)), (300, range(12)),
+                                 (96, (40, 97)))
+            for k in levels for i in range(k + 1)]
+# sha256 over the json of [argv, exit code, stdout, stderr] of each, in order
+RESIDUES_DIGEST = "4f0221cddbc4780de6308a818d431ea4023e341a50996421435ab93b3c45d4bb"
+
+
+def test_residues_bytes_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in RESIDUES:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+    assert digest.hexdigest() == RESIDUES_DIGEST
 
 
 def _readme_examples() -> list:

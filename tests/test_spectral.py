@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import floor
 
 import mpmath
 import pytest
@@ -142,11 +143,11 @@ def _enclosure(angle: Fraction, bits: int) -> tuple:
 
 
 def _off_enclosure(level: int, bits: int) -> list:
-    # the angles m whose sine or pole in _fixed(level, bits) is more than one unit of 2**-bits
+    # the angles m whose sine or pole in _angles(level, bits) is more than one unit of 2**-bits
     # from its enclosure; m <= n/2 is enclosed and n - m checked as its mirror (n = level + 2).
     # Every interval operation rounds outward, so an entry that passes is proven
     n = level + 2
-    sines, poles = spectral._fixed(level, bits)
+    sines, poles = spectral._angles(level, bits)
     poles = (2 << bits, *poles)  # the pole of m = 0, which the table leaves out, is exact
     off = []
     with mpmath.ctx_mp.PrecisionManager(mpmath.iv, lambda _: bits + 8, None):
@@ -168,11 +169,11 @@ def test_fixed_table_is_within_one_unit(monkeypatch):
     # allows, puts the poles near pi/2 off by about 4 units
     real = spectral._pi
     monkeypatch.setattr(spectral, "_pi", lambda w: real(w) + (1 << (w - 128 + 2)))
-    spectral._fixed.cache_clear()
+    spectral._angles.cache_clear()
     try:
         assert _off_enclosure(12, 128) != []
     finally:
-        spectral._fixed.cache_clear()
+        spectral._angles.cache_clear()
 
 
 def test_weakened_precision_is_caught(monkeypatch):
@@ -184,17 +185,42 @@ def test_weakened_precision_is_caught(monkeypatch):
 
 
 def test_angle_outside_its_enclosure_raises(monkeypatch):
-    # a cosine 2**(6 - bits) off its true value is outside the 2**(4 - bits) the bound allows
+    # a cosine, or a sine, 2**(6 - bits) off its true value is outside the 2**(4 - bits) the
+    # bound allows; each is checked against the integer table on its own
     real = mpmath.cos_sin
+    for push in ((1, 0), (0, 1)):
+        def pushed(x, push=push):
+            return tuple(v + p * mpmath.ldexp(1, 6 - mpmath.mp.prec) for v, p in zip(real(x), push))
 
-    def pushed(x):
-        c, s = real(x)
-        return c + mpmath.ldexp(1, 6 - mpmath.mp.prec), s
+        monkeypatch.setattr(mpmath, "cos_sin", pushed)
+        with pytest.raises(PrecisionExhaustedError, match="enclosure"):
+            residue_decomposition(6, 0)
 
-    monkeypatch.setattr(mpmath, "cos_sin", pushed)
+
+def test_enclosure_check_is_exact():
+    # residues compares value 2**scale with a table entry exactly, also where the value has bits
+    # below the table's unit, so its verdict is Fraction arithmetic's even at the boundary
+    scale, bits = 72, 64
+    limit = 2 ** (scale + 4 - bits) - 1
+    for exp in (-80, -75, -72, -70):
+        for man in (-7, 1, 3, 2**50 + 1):  # each exact in a double
+            exact = man * Fraction(2) ** (exp + scale)
+            for d in (-limit - 1, -limit, limit, limit + 1, limit + 2):
+                unit = floor(exact) + d
+                want = abs(exact - unit) <= limit
+                assert spectral._within(mpmath.mpf((man, exp)), unit, scale, bits) == want
+
+
+def test_counts_and_residues_share_one_cleared_table():
+    # a caller that clears spectral._angles, as an in-process benchmark does before each op,
+    # makes the next count build its table again
     spectral._angles.cache_clear()
-    with pytest.raises(PrecisionExhaustedError, match="enclosure"):
-        residue_decomposition(6, 0)
+    count_spectral(7, 1, 41)
+    residue_decomposition(9, 2)
+    assert spectral._angles.cache_info().currsize == 2
+    spectral._angles.cache_clear()
+    count_spectral(7, 1, 41)
+    assert spectral._angles.cache_info()[:2] == (0, 1)  # no hit, one miss
 
 
 def test_precision_exhaustion(monkeypatch):
@@ -212,7 +238,7 @@ def test_precision_exhaustion(monkeypatch):
     def no_table(level, bits):
         raise AssertionError(f"table built for level {level} at {bits} bits")
 
-    monkeypatch.setattr(spectral, "_fixed", no_table)
+    monkeypatch.setattr(spectral, "_angles", no_table)
     for max_bits in (96, 64):
         monkeypatch.setattr(spectral, "MAX_BITS", max_bits)
         for k, i, j in ((6, 1, 51), (0, 0, 52)):
