@@ -26,10 +26,12 @@ from .diagram import (
     build_table,
     count_dp,
     count_matrix_power,
+    dp_columns,
     vertex_heights,
 )
 from .dyck import MAX_LENGTH, endpoint_counts, endpoint_tallies, enumerate_count
-from .genfunc import LinearRecurrence, decimate, gf_closed_form, recurrence_from_gf, series_coeffs
+from .genfunc import (LinearRecurrence, decimate, gf_closed_form, recurrence_from_gf,
+                      series_coeff, series_coeffs)
 from .spectral import (
     PrecisionExhaustedError,
     admit_columns,
@@ -70,7 +72,7 @@ def _positive(text: str) -> int:
 def _count_gf(k: int, i: int, j: int) -> int:
     # no path of j steps climbs above height j
     level = min(k, j)
-    return series_coeffs(gf_closed_form(level, i), j, nonnegative=True)[j] if i <= level else 0
+    return series_coeff(gf_closed_form(level, i), j, nonnegative=True) if i <= level else 0
 
 
 def _sweep_gf(k: int, jmax: int) -> list:
@@ -112,7 +114,8 @@ def _pick_auto(k: int, j: int, paranoid: bool) -> str:
     if paranoid and j <= 14:
         return "dyck"
     # measured at levels 2..80, j <= 2*10**4: from j = level**2 on, the folded matrix is within
-    # 1.2x of dp up to level 64; spectral was the slowest exact backend throughout
+    # 1.2x of dp up to level 64.  Spectral is never picked, though since its integer evaluator
+    # it beats dp 1.7-1.9x at levels 100-1000
     level = min(k, j)
     return "matrix" if level <= 64 and level * level <= j else "dp"
 
@@ -265,6 +268,29 @@ def compare_backends(k: int, sweeps: list) -> list:
     return out
 
 
+# the estimated work, in units of about 1 us of serial sweeping, from which verify's levels run
+# in a process pool: below it, the pool's fixed cost (importing concurrent.futures.process,
+# starting the workers, collecting their results: about 50 ms) outweighs a second worker's gain.
+# Whole processes on 2 vCPUs, median of 11 alternating pairs, serial against pooled: (kmax, jmax)
+# = (20, 200), 3.0e5 units, 0.41 against 0.48 s; (22, 220), 4.3e5, 0.63 against 0.44 s; dp,dyck
+# at (26, 19), 4.0e5, 0.54 against 0.40 s; all five backends at (8, 20), 1.6e5, level at
+# 0.28-0.30 s.  The crossover moves with the shared machine's load, by about 2x either way
+POOL_MIN_WORK = 300_000
+
+
+def _verify_workers(jobs: int, sizes: list, jmax: int, backends: tuple) -> int:
+    """How many processes, at most jobs, sweep levels 0..len(sizes) - 1 up to jmax: one unless
+    the estimated work reaches POOL_MIN_WORK.  Each of level k's sizes[k] vertices costs k units,
+    as the spectral, matrix and gf sweeps' work per vertex grows with the level, and 7 nodes of
+    dyck's walk, which visits every path of every length up to jmax, cost one."""
+    if jobs < 2 or len(sizes) < 2:
+        return 1
+    work = sum(k * size for k, size in enumerate(sizes))
+    if "dyck" in backends:  # the paths are the sum of the level's dp columns, few at jmax <= 26
+        work += sum(sum(map(sum, dp_columns(k, jmax))) for k in range(len(sizes))) // 7
+    return min(jobs, len(sizes)) if work >= POOL_MIN_WORK else 1
+
+
 def _cmd_verify(args) -> int:
     backends = tuple(name.strip() for name in args.backends.split(",") if name.strip())
     for name in backends:
@@ -285,9 +311,10 @@ def _cmd_verify(args) -> int:
                 admit(k, args.jmax)
     queries = sum(sizes) + max(args.kmax - args.jmax, 0) * sizes[-1]  # sizes[-1]: level jmax
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs > 1 and len(tasks) > 1:
+    workers = _verify_workers(jobs, sizes, args.jmax, backends)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             levels = list(pool.map(_verify_task, tasks))
     else:
         levels = [_verify_task(task) for task in tasks]
@@ -356,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=_nonneg, required=True)
     p.add_argument("--jmax", type=_nonneg, required=True)
     p.add_argument("--backends", default="dp,matrix,gf,spectral")
-    p.add_argument("--jobs", type=_positive, default=None)
+    p.add_argument("--jobs", type=_positive, default=None,
+                   help="at most this many worker processes (default: the CPU count);"
+                        " small verifies run serially")
     p.set_defaults(func=_cmd_verify)
 
     return parser

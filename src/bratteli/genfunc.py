@@ -17,8 +17,10 @@ Everything here is exact integer arithmetic; series extraction never
 divides because denominators are normalized to constant term 1.
 """
 
-from collections import namedtuple
+from collections import deque, namedtuple
+from itertools import count, islice
 from math import comb, gcd
+from operator import mul
 
 from .diagram import _check_height, _check_nonneg
 
@@ -301,6 +303,18 @@ def gf_closed_form(k: int, i: int) -> RationalGF:
     return RationalGF(tuple(poly_shift(num, i)), tuple(den))
 
 
+def _series(g: RationalGF, nonnegative: bool):
+    # series_coeffs' recurrence, keeping only the last len(den) - 1 coefficients, all it reads
+    num, tail = g.num, g.den[1:]
+    recent = deque([0] * len(tail), maxlen=len(tail))  # c_{m-1}, c_{m-2}, ...
+    for m in count():
+        c = (num[m] if m < len(num) else 0) - sum(map(mul, tail, recent))
+        if nonnegative and c < 0:
+            raise ValueError(f"negative series coefficient {c} at degree {m}")
+        recent.appendleft(c)
+        yield c
+
+
 def series_coeffs(g: RationalGF, n: int, *, nonnegative: bool = False) -> list:
     """First n+1 power-series coefficients of g, by the convolution recurrence.
 
@@ -310,16 +324,13 @@ def series_coeffs(g: RationalGF, n: int, *, nonnegative: bool = False) -> list:
     then raises ValueError since it can only mean an upstream bug.
     """
     _check_nonneg(n=n)
-    num, den = g.num, g.den
-    out: list = []
-    for m in range(n + 1):
-        c = num[m] if m < len(num) else 0
-        for t in range(1, min(m, len(den) - 1) + 1):
-            c -= den[t] * out[m - t]
-        if nonnegative and c < 0:
-            raise ValueError(f"negative series coefficient {c} at degree {m}")
-        out.append(c)
-    return out
+    return list(islice(_series(g, nonnegative), n + 1))
+
+
+def series_coeff(g: RationalGF, n: int, *, nonnegative: bool = False) -> int:
+    """series_coeffs(g, n, nonnegative=nonnegative)[n], in memory that does not grow with n."""
+    _check_nonneg(n=n)
+    return deque(islice(_series(g, nonnegative), n + 1), maxlen=1)[0]
 
 
 def decimate(g: RationalGF) -> tuple:

@@ -74,6 +74,22 @@ def test_count_huge_value_prints_exact_decimal():
     assert len(out.strip()) == 30
 
 
+def test_gf_count_keeps_a_window_of_the_series():
+    import tracemalloc
+    for k in (0, 1, 2, 5, 12):
+        for j in (0, 1, 7, 40, 399, 400):
+            for i in range(min(k, j) + 2):
+                assert cli.count_via("gf", k, i, j) == count_dp(k, i, j), (k, i, j)
+    # the whole series to j = 20000 at level 2 peaks at about 7 MB of coefficients; the window
+    # holds two of at most 1.3 kB each
+    tracemalloc.start()
+    try:
+        assert cli.count_via("gf", 2, 0, 20000) == 2 ** 9999
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+
+
 def test_count_negative_rejected_usage():
     code, _, _ = run(["count", "--k", "-1", "--i", "0", "--j", "4"])
     assert code == 2
@@ -305,6 +321,7 @@ def test_cheap_commands_import_no_heavy_module():
         ["table", "--k", "3", "--jmax", "9", "--format", "json"],
         ["count", "--k", "4", "--i", "2", "--j", "40", "--backend", "spectral"],
         ["verify", "--kmax", "3", "--jmax", "10", "--jobs", "1"],
+        ["verify", "--kmax", "6", "--jmax", "200", "--jobs", "2"],  # too little work for a pool
     ]
     assert _heavy_modules_loaded(argvs) == []
     assert _heavy_modules_loaded([["residues", "--k", "3", "--i", "1"]]) == ["mpmath"]
@@ -516,11 +533,43 @@ def test_verify_ok_and_deterministic():
     assert run(argv) == (code, out, "")
 
 
-def test_verify_parallel_output_identical():
+def test_verify_parallel_output_identical(monkeypatch, tmp_path):
+    # with no work threshold even this verify takes the pool; each level's comparison writes
+    # the id of the process it ran in, and forked workers inherit the patched function
+    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
+    real, log = cli.compare_backends, tmp_path / "pids"
+
+    def compare(k, sweeps):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(k, sweeps)
+
+    monkeypatch.setattr(cli, "compare_backends", compare)
     serial = run(["verify", "--kmax", "4", "--jmax", "10", "--jobs", "1"])
+    assert log.read_text().split() == [str(os.getpid())] * 5
+    log.unlink()
     parallel = run(["verify", "--kmax", "4", "--jmax", "10", "--jobs", "3"])
+    pids = log.read_text().split()
+    assert len(pids) == 5 and str(os.getpid()) not in pids  # every level ran in a worker
     assert serial == parallel
     assert serial[0] == 0
+
+
+def _levels(kmax, jmax):
+    return [table_size(k, jmax) for k in range(min(kmax, jmax) + 1)]
+
+
+def test_verify_pools_only_work_that_pays_for_it():
+    # the estimate alone decides, from the admitted table sizes: no level is swept here
+    default, five = ("dp", "matrix", "gf", "spectral"), ("dp", "matrix", "gf", "spectral", "dyck")
+    workers = cli._verify_workers
+    assert workers(2, _levels(30, 300), 300, default) == 2
+    assert workers(3, _levels(30, 300), 300, default) == 3
+    assert workers(1, _levels(30, 300), 300, default) == 1
+    # dyck's walk is most of this one's work: its dp and vertex terms alone are 3.1e4
+    assert workers(2, _levels(26, 22), 22, ("dp", "dyck")) == 2
+    assert workers(2, _levels(12, 60), 60, default) == 1
+    assert workers(2, _levels(8, 20), 20, five) == 1
 
 
 def test_verify_all_five_backends():
@@ -600,6 +649,7 @@ def test_verify_mismatch_at_two_levels_is_the_same_for_any_jobs(monkeypatch):
         return columns
 
     _patch_sweep(monkeypatch, "gf", bad_gf)
+    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)  # too little work for the pool otherwise
     argv = ["verify", "--kmax", "5", "--jmax", "8", "--backends", "dp,gf,spectral"]
     serial = run(argv + ["--jobs", "1"])
     assert serial == run(argv + ["--jobs", "2"])  # workers are forked with the patched table
@@ -624,6 +674,7 @@ def test_verify_refuses_a_table_over_budget_before_any_level(monkeypatch, backen
     # every level's table is admitted in k order before the first runs, so level 2's counts of
     # up to sqrt(2)**400000 are refused whatever the backends' order, dp or not, and the pool
     _no_sweeps(monkeypatch)
+    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
     argv = ["verify", "--kmax", "2", "--jmax", "400000", "--backends", backends, "--jobs", jobs]
     assert run(argv) == (2, "", (
         "error: table for k=2, jmax=400000 needs up to 120001400002 bits of counts,"
@@ -634,6 +685,7 @@ def test_verify_refuses_a_table_over_budget_before_any_level(monkeypatch, backen
 def test_verify_refuses_matrix_powers_before_any_level(monkeypatch, jobs):
     # levels 0 and 1 keep their powers in the budget and level 2's do not, so no level is swept
     _no_sweeps(monkeypatch)
+    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
     argv = ["verify", "--kmax", "2", "--jmax", "65000", "--backends", "gf,matrix", "--jobs", jobs]
     assert run(argv) == (2, "", (
         "error: matrix sweep for k=2, jmax=65000 needs up to 4225390008 bits of powers,"
@@ -647,6 +699,7 @@ def test_verify_refuses_spectral_precision_before_any_level(monkeypatch, jobs):
     with pytest.raises(PrecisionExhaustedError) as single:
         count_spectral(0, 0, 52)
     _no_sweeps(monkeypatch)
+    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
     assert run(["verify", "--kmax", "1", "--jmax", "60", "--jobs", jobs]) == (
         2, "", f"error: {single.value}\n")
 
