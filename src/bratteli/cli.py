@@ -272,22 +272,25 @@ def compare_backends(k: int, sweeps: list) -> list:
 # in a process pool: below it, the pool's fixed cost (importing concurrent.futures.process,
 # starting the workers, collecting their results: about 50 ms) outweighs a second worker's gain.
 # Whole processes on 2 vCPUs, median of 11 alternating pairs, serial against pooled: (kmax, jmax)
-# = (20, 200), 3.0e5 units, 0.41 against 0.48 s; (22, 220), 4.3e5, 0.63 against 0.44 s; dp,dyck
-# at (26, 19), 4.0e5, 0.54 against 0.40 s; all five backends at (8, 20), 1.6e5, level at
-# 0.28-0.30 s.  The crossover moves with the shared machine's load, by about 2x either way
+# = (20, 200), 3.0e5 units, 0.41 against 0.48 s; (22, 220), 4.3e5, 0.63 against 0.44 s.  dyck's
+# frontier enumerates a path in 4.5-7 ns at levels 19-26 (3 ns at levels 0-8), so 150 paths are
+# one unit.  Medians of 9 pairs: dp,dyck at (26, 22), 1.9e5 units, 0.26-0.28 against 0.24-0.35 s
+# over three rounds; (26, 23), 3.6e5, 0.40-0.46 against 0.34-0.51 s; (26, 24), 7.0e5, 0.76
+# against 0.46 s; all five backends at (8, 20), 9.6e3, 0.09 against 0.13 s.  The crossover moves
+# with the shared machine's load, by about 2x either way
 POOL_MIN_WORK = 300_000
 
 
 def _verify_workers(jobs: int, sizes: list, jmax: int, backends: tuple) -> int:
     """How many processes, at most jobs, sweep levels 0..len(sizes) - 1 up to jmax: one unless
     the estimated work reaches POOL_MIN_WORK.  Each of level k's sizes[k] vertices costs k units,
-    as the spectral, matrix and gf sweeps' work per vertex grows with the level, and 7 nodes of
-    dyck's walk, which visits every path of every length up to jmax, cost one."""
+    as the spectral, matrix and gf sweeps' work per vertex grows with the level, and 150 nodes
+    of dyck's enumeration, which visits every path of every length up to jmax, cost one."""
     if jobs < 2 or len(sizes) < 2:
         return 1
     work = sum(k * size for k, size in enumerate(sizes))
     if "dyck" in backends:  # the paths are the sum of the level's dp columns, few at jmax <= 26
-        work += sum(sum(map(sum, dp_columns(k, jmax))) for k in range(len(sizes))) // 7
+        work += sum(sum(map(sum, dp_columns(k, jmax))) for k in range(len(sizes))) // 150
     return min(jobs, len(sizes)) if work >= POOL_MIN_WORK else 1
 
 

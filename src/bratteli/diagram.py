@@ -142,6 +142,11 @@ def build_table(k: int, jmax: int) -> CountTable:
     return CountTable(k, jmax, list(dp_columns(k, jmax)))
 
 
+def _one_step(c: list) -> list:
+    # c times x + 1/x modulo x**len(c) - 1: one more step of every walk on the cycle
+    return list(map(add, c[-1:] + c[:-1], c[1:] + c[:1]))
+
+
 def _power_step(c: list, bit: int) -> list:
     # one step of binary powering modulo x**n - 1, n = len(c): c * c, then times x + 1/x when
     # the bit is set.  c is palindromic (c[e] == c[-e]) and so is the square, so only its
@@ -149,7 +154,7 @@ def _power_step(c: list, bit: int) -> list:
     n = len(c)
     half = [sum(map(mul, c, c[e::-1] + c[:e:-1])) for e in range(n // 2 + 1)]
     c = half + half[-2:0:-1]
-    return [c[e - 1] + c[e + 1 - n] for e in range(n)] if bit else c
+    return _one_step(c) if bit else c
 
 
 def adjacency_power_row(k: int, j: int) -> list:
@@ -177,13 +182,16 @@ def adjacency_power_rows(k: int, jmax: int) -> list:
     """adjacency_power_row(k, j) for j = 0..jmax, each power one step from power j // 2.
 
     Binary powering from the high bit passes through power j // 2 last, so the rows are equal.
-    Only powers m <= jmax // 2 are kept, and admit_rows(k, jmax) admits them first.
+    Power m is squared once, into power 2m, and power 2m + 1 is that square times x + 1/x: the
+    jmax // 2 squarings make every row.  Only powers m <= jmax // 2 are kept, and
+    admit_rows(k, jmax) admits them first.
     """
     _check_nonneg(k=k, jmax=jmax)
     admit_rows(k, jmax)
-    powers, rows = [], []
+    c, powers, rows = [1] + [0] * (2 * k + 3), [], []
     for j in range(jmax + 1):
-        c = _power_step(powers[j // 2], j & 1) if j else [1] + [0] * (2 * k + 3)
+        if j:
+            c = _one_step(c) if j & 1 else _power_step(powers[j // 2], 0)
         if j <= jmax // 2:
             powers.append(c)
         rows.append([c[i] - c[-i - 2] for i in range(k + 1)])

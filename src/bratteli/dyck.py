@@ -2,9 +2,11 @@
 
 A path is a string over {'u', 'd'} read left to right; the height after a
 prefix is (#u - #d) and must stay in [0, k].  ``enumerate_count`` counts
-paths by exhaustive backtracking, trying 'u' before 'd', so it is the
-slow-but-obviously-correct reference the other backends are checked
-against.  ``factorize`` splits a bounded path ending at height i into the
+paths by exhaustive enumeration: every bounded path is one byte, its end
+height, in a breadth-first frontier that never merges two paths, so it is
+the slow-but-obviously-correct reference the other backends are checked
+against.  ``iter_paths`` yields the paths themselves in lexicographic
+order.  ``factorize`` splits a bounded path ending at height i into the
 i+1 excursions obtained by cutting at the final departure from each of the
 levels 0..i-1; piece number s (1-based) is a Dyck path whose own height
 never exceeds k+1-s, which is the combinatorial heart of the product form
@@ -16,25 +18,33 @@ from .diagram import _check_nonneg
 
 MAX_LENGTH = 26  # enumerate_count's cap on j: the search tree has up to 2**j leaves
 
+# a step up and a step down of a height held in one byte; the height leaving [0, level] is
+# deleted first, so neither table's wrap-around entry is ever read
+_UP = bytes(range(1, 256)) + b"\x00"
+_DOWN = b"\x00" + bytes(range(255))
+
 
 def endpoint_tallies(k: int, jmax: int) -> list:
     """t[j][h] = number of paths of j <= jmax steps staying in [0, k] and ending at height h.
 
-    One walk over the search tree to depth jmax counts each node, a path, at
-    its own depth.  Nothing caps the search; the caller bounds ``jmax``.
+    A breadth-first enumeration of the search tree to depth jmax: the frontier holds one byte
+    per bounded path of the current depth, its end height, and the next depth is every path's
+    up-child followed by every path's down-child.  Paths that end at the same height are never
+    merged, so the enumeration visits each node, a path, once, and tallies it at its own depth.
+    Nothing caps the search; the caller bounds ``jmax``.  A level min(k, jmax) above 255 does
+    not fit in a byte, and its tree has more than 2**255 nodes: ValueError, before any work.
     """
     _check_nonneg(k=k, jmax=jmax)
+    level = min(k, jmax)
+    if level > 255:
+        raise ValueError(f"level {level} is above 255: its tree has more than 2**255 paths")
     tallies = [[0] * (k + 1) for _ in range(jmax + 1)]
-
-    def walk(h: int, depth: int) -> None:
-        tallies[depth][h] += 1
+    frontier, top = b"\x00", bytes([level])
+    for depth, row in enumerate(tallies):
+        for h in range(depth % 2, min(level, depth) + 1, 2):
+            row[h] = frontier.count(h)
         if depth < jmax:
-            if h < k:
-                walk(h + 1, depth + 1)
-            if h > 0:
-                walk(h - 1, depth + 1)
-
-    walk(0, 0)
+            frontier = frontier.translate(_UP, top) + frontier.translate(_DOWN, b"\x00")
     return tallies
 
 
@@ -48,12 +58,12 @@ def endpoint_counts(k: int, length: int) -> list:
 
 
 def enumerate_count(k: int, i: int, j: int) -> int:
-    """Count paths from the origin to (i, j) by exhaustive backtracking.
+    """Count paths from the origin to (i, j) by exhaustive enumeration.
 
-    The search explores every bounded prefix (u before d, so enumeration
-    order is lexicographic) and checks the endpoint at depth j, at level
-    min(k, j) since no path of j steps climbs higher.  ``j`` must not exceed
-    MAX_LENGTH (26) since the tree has up to 2**j leaves.
+    The search holds every bounded prefix, one frontier byte each, and
+    tallies the endpoints at depth j, at level min(k, j) since no path of j
+    steps climbs higher.  ``j`` must not exceed MAX_LENGTH (26) since the
+    tree has up to 2**j leaves.
     """
     _check_nonneg(k=k, i=i, j=j)
     if j > MAX_LENGTH:

@@ -154,6 +154,22 @@ def test_matrix_rows_keep_only_the_powers_squared_again(monkeypatch):
                                   " bits of powers, budget is 4096000000")
 
 
+def test_matrix_rows_square_each_kept_power_once(monkeypatch):
+    squarings = []
+    power_step = diagram._power_step
+
+    def counted(c, bit):
+        squarings.append(len(c))
+        return power_step(c, bit)
+
+    monkeypatch.setattr(diagram, "_power_step", counted)
+    for k, jmax in ((0, 0), (0, 1), (3, 7), (5, 40), (8, 61), (12, 200)):
+        squarings.clear()
+        rows = adjacency_power_rows(k, jmax)
+        assert len(squarings) <= jmax // 2, (k, jmax)
+        assert rows[-1] == adjacency_power_row(k, jmax), (k, jmax)
+
+
 def test_matrix_power_skips_unreachable_targets(monkeypatch):
     def refuse(k, j):
         raise AssertionError(f"adjacency_power_row({k}, {j}) for an unreachable target")

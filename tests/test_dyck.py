@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bratteli.diagram import count_dp
+from bratteli.diagram import count_dp, dp_columns
 from bratteli.dyck import (
     endpoint_counts,
     endpoint_tallies,
@@ -29,13 +29,47 @@ def test_enumerate_matches_dp():
 
 
 def test_endpoint_counts_row():
-    # verify's one walk to depth 18 tallies what a walk to each depth does
+    # verify's one enumeration to depth 18 tallies what an enumeration to each depth does
     for k in range(0, 10):
         tallies = endpoint_tallies(k, 18)
         assert len(tallies) == 19
         for j in range(0, 19):
             row = endpoint_counts(k, j)
             assert tallies[j] == row == [count_dp(k, i, j) for i in range(k + 1)], (k, j)
+
+
+def test_enumeration_visits_every_path_once():
+    # the frontier's tally at depth j is the tally of the paths iter_paths lists one by one,
+    # and it holds as many nodes as there are paths of every length up to j
+    for k in range(0, 6):
+        for j in range(0, 13):
+            tallies = endpoint_tallies(k, j)
+            ends = [0] * (k + 1)
+            for path in iter_paths(k, j):
+                ends[heights(path)[-1]] += 1
+            assert tallies[j] == ends, (k, j)
+            nodes = sum(map(sum, tallies))
+            assert nodes == sum(map(sum, dp_columns(k, j))), (k, j)
+            assert nodes == sum(1 for d in range(j + 1) for _ in iter_paths(k, d)), (k, j)
+
+
+def test_long_thin_trees_do_not_recurse():
+    # levels 0 and 1 have at most one path of each length; a recursive walk to depth 5000
+    # raised RecursionError.  Level 2 doubles its paths every two steps, so its tree is
+    # enumerated only as deep as 2**21 paths of the last length
+    for k, jmax in ((0, 5000), (1, 5000), (2, 42)):
+        padded = [col + [0] * (k + 1 - len(col)) for col in dp_columns(k, jmax)]
+        assert endpoint_tallies(k, jmax) == padded, k
+
+
+def test_a_level_above_a_byte_is_refused_before_any_work():
+    # the level is min(k, jmax): a high k with a short jmax is still enumerated
+    assert endpoint_tallies(300, 4)[4][:5] == [2, 0, 3, 0, 1]
+    for k, jmax in ((256, 256), (300, 10**9), (10**9, 300)):
+        with pytest.raises(ValueError) as refused:
+            endpoint_tallies(k, jmax)
+        assert str(refused.value) == (f"level {min(k, jmax)} is above 255:"
+                                      " its tree has more than 2**255 paths")
 
 
 def test_length_cap():
