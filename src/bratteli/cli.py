@@ -12,6 +12,7 @@ no colour codes, so NO_COLOR always holds by construction.
 import argparse
 import os
 import sys
+from collections import namedtuple
 
 # adjacency_power_row and endpoint_counts are not called here: bench/inproc.py wraps cli's names
 from .diagram import (
@@ -70,44 +71,45 @@ def _positive(text: str) -> int:
 
 
 def _count_gf(k: int, i: int, j: int) -> int:
-    # no path of j steps climbs above height j
     level = min(k, j)
     return series_coeff(gf_closed_form(level, i), j, nonnegative=True) if i <= level else 0
 
 
 def _sweep_gf(k: int, jmax: int) -> list:
+    admit_table(k, jmax)
+    k = min(k, jmax)
     series = [series_coeffs(gf_closed_form(k, i), jmax, nonnegative=True) for i in range(k + 1)]
     return list(zip(*series))
 
 
-# name -> (count(k, i, j), sweep(k, jmax) -> columns), where sweep[j][i] is
-# the count at vertex (i, j) for every vertex with j <= jmax.  The entries
-# look the module's functions up when called, so a wrapper installed on this
-# module afterwards sees every call.  The order is the order of --backend's
-# choices and of verify's "choose from" list.
+def _admit_dyck(k: int, jmax: int) -> None:
+    if jmax > MAX_LENGTH:
+        raise ValueError(f"the dyck backend enumerates at most {MAX_LENGTH} steps; lower --jmax")
+
+
+# name -> Backend(count(k, i, j), sweep(k, jmax), admit(k, jmax)).  count runs at level min(k, j)
+# and sweep at min(k, jmax), since no path of j steps climbs higher: sweep[j][i] counts the paths
+# to (i, j), j <= jmax, in columns of at most min(k, jmax) + 1 entries.  admit raises sweep's
+# refusal before any work.  count and sweep look this module's functions up when called, so a
+# wrapper installed here later sees every call.  --backend and verify's admissions keep this order.
+Backend = namedtuple("Backend", "count sweep admit")
 BACKENDS = {
-    "dp": (lambda k, i, j: count_dp(k, i, j), lambda k, jmax: build_table(k, jmax).columns),
-    "dyck": (lambda k, i, j: enumerate_count(k, i, j), lambda k, jmax: endpoint_tallies(k, jmax)),
-    "gf": (_count_gf, _sweep_gf),
-    "spectral": (
-        lambda k, i, j: count_spectral(k, i, j),
-        lambda k, jmax: spectral_columns(k, jmax),
-    ),
-    "matrix": (
-        lambda k, i, j: count_matrix_power(k, i, j),
-        lambda k, jmax: adjacency_power_rows(k, jmax),
-    ),
+    "dp": Backend(lambda k, i, j: count_dp(k, i, j),
+                  lambda k, jmax: build_table(k, jmax).columns, admit_table),
+    "dyck": Backend(lambda k, i, j: enumerate_count(k, i, j),
+                    lambda k, jmax: endpoint_tallies(k, jmax), _admit_dyck),
+    "gf": Backend(_count_gf, _sweep_gf, admit_table),
+    "spectral": Backend(lambda k, i, j: count_spectral(k, i, j),
+                        lambda k, jmax: spectral_columns(k, jmax), admit_columns),
+    "matrix": Backend(lambda k, i, j: count_matrix_power(k, i, j),
+                      lambda k, jmax: adjacency_power_rows(k, jmax), admit_rows),
 }
 
 
 def count_via(backend: str, k: int, i: int, j: int) -> int:
-    """One path count through the named backend.
-
-    Every backend runs at level min(k, j), since no path of j steps climbs
-    higher; an error names the k that was asked for.
-    """
+    """One path count by the named backend, at level min(k, j); an error names the k asked for."""
     _check_nonneg(k=k, i=i, j=j)
-    return BACKENDS[backend][0](k, i, j)
+    return BACKENDS[backend].count(k, i, j)
 
 
 def _pick_auto(k: int, j: int, paranoid: bool) -> str:
@@ -248,9 +250,9 @@ def _cmd_rate(args) -> int:
 
 
 def _verify_task(task: tuple) -> list:
-    """Worker: sweep one level-k diagram at level min(k, jmax) with every backend and compare."""
+    """Worker: sweep one level-k diagram, k <= jmax, with every backend and compare."""
     k, jmax, backends = task
-    return compare_backends(k, [BACKENDS[name][1](min(k, jmax), jmax) for name in backends])
+    return compare_backends(k, [BACKENDS[name].sweep(k, jmax) for name in backends])
 
 
 def compare_backends(k: int, sweeps: list) -> list:
@@ -303,15 +305,12 @@ def _cmd_verify(args) -> int:
         raise ValueError("need at least two backends to compare")
     if len(set(backends)) != len(backends):
         raise ValueError("duplicate backend names")
-    if "dyck" in backends and args.jmax > MAX_LENGTH:
-        raise ValueError(f"the dyck backend enumerates at most {MAX_LENGTH} steps; lower --jmax")
     # a level above jmax sweeps what level jmax sweeps: run levels up to jmax, count the rest
     sizes = [admit_table(k, args.jmax) for k in range(min(args.kmax, args.jmax) + 1)]
-    tasks = [(k, args.jmax, backends) for k in range(len(sizes))]  # all admitted, tables first,
-    for name, admit in (("spectral", admit_columns), ("matrix", admit_rows)):  # then the spectral
-        if name in backends:  # precision and the matrix powers, all before any level runs
-            for k, _, _ in tasks:
-                admit(k, args.jmax)
+    tasks = [(k, args.jmax, backends) for k in range(len(sizes))]  # all admitted before any runs:
+    for name in (name for name in BACKENDS if name in backends):  # the tables, then each listed
+        for k, _, _ in tasks:  # backend's sweep, in registry order
+            BACKENDS[name].admit(k, args.jmax)
     queries = sum(sizes) + max(args.kmax - args.jmax, 0) * sizes[-1]  # sizes[-1]: level jmax
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     workers = _verify_workers(jobs, sizes, args.jmax, backends)

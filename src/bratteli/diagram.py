@@ -172,29 +172,30 @@ def adjacency_power_row(k: int, j: int) -> list:
 
 
 def admit_rows(k: int, jmax: int) -> None:
-    """Raise adjacency_power_rows(k, jmax)'s TableBudgetError, if any, computing nothing: its powers
-    m <= jmax // 2 have 2(k+2) entries of m + 1 bits or fewer, in the bit budget."""
+    """Raise adjacency_power_rows(k, jmax)'s TableBudgetError, if any, computing nothing: its
+    powers m <= jmax // 2 have 2(L+2) entries of m + 1 bits or fewer, L = min(k, jmax)."""
+    _check_nonneg(k=k, jmax=jmax)
     _check_budget(f"matrix sweep for k={k}, jmax={jmax} needs up to",
-                  (k + 2) * (jmax // 2 + 1) * (jmax // 2 + 2), "bits of powers", 4096)
+                  (min(k, jmax) + 2) * (jmax // 2 + 1) * (jmax // 2 + 2), "bits of powers", 4096)
 
 
 def adjacency_power_rows(k: int, jmax: int) -> list:
-    """adjacency_power_row(k, j) for j = 0..jmax, each power one step from power j // 2.
+    """adjacency_power_row(min(k, jmax), j) for j = 0..jmax, each power one step from power j // 2.
 
     Binary powering from the high bit passes through power j // 2 last, so the rows are equal.
     Power m is squared once, into power 2m, and power 2m + 1 is that square times x + 1/x: the
     jmax // 2 squarings make every row.  Only powers m <= jmax // 2 are kept, and
     admit_rows(k, jmax) admits them first.
     """
-    _check_nonneg(k=k, jmax=jmax)
     admit_rows(k, jmax)
-    c, powers, rows = [1] + [0] * (2 * k + 3), [], []
+    level = min(k, jmax)  # no path of jmax steps climbs higher
+    c, powers, rows = [1] + [0] * (2 * level + 3), [], []
     for j in range(jmax + 1):
         if j:
             c = _one_step(c) if j & 1 else _power_step(powers[j // 2], 0)
         if j <= jmax // 2:
             powers.append(c)
-        rows.append([c[i] - c[-i - 2] for i in range(k + 1)])
+        rows.append([c[i] - c[-i - 2] for i in range(level + 1)])
     return rows
 
 

@@ -25,7 +25,7 @@ _DOWN = b"\x00" + bytes(range(255))
 
 
 def endpoint_tallies(k: int, jmax: int) -> list:
-    """t[j][h] = number of paths of j <= jmax steps staying in [0, k] and ending at height h.
+    """t[j][h] = number of paths of j <= jmax steps in [0, k] ending at height h <= min(k, jmax).
 
     A breadth-first enumeration of the search tree to depth jmax: the frontier holds one byte
     per bounded path of the current depth, its end height, and the next depth is every path's
@@ -38,7 +38,7 @@ def endpoint_tallies(k: int, jmax: int) -> list:
     level = min(k, jmax)
     if level > 255:
         raise ValueError(f"level {level} is above 255: its tree has more than 2**255 paths")
-    tallies = [[0] * (k + 1) for _ in range(jmax + 1)]
+    tallies = [[0] * (level + 1) for _ in range(jmax + 1)]
     frontier, top = b"\x00", bytes([level])
     for depth, row in enumerate(tallies):
         for h in range(depth % 2, min(level, depth) + 1, 2):

@@ -196,6 +196,7 @@ def count_spectral(k: int, i: int, j: int) -> int:
 
 def admit_columns(k: int, jmax: int) -> None:
     """Raise spectral_columns(k, jmax)'s refusal, if any, evaluating nothing: _bits grows with j."""
+    _check_nonneg(k=k, jmax=jmax)
     first = bisect_right(range(jmax + 1), MAX_BITS, lo=1, key=_bits)
     for j in range(first, min(first + 2, jmax + 1)):  # at level 0 an odd column is empty
         _checked_bits(k, j, vertex_heights(k, j))
@@ -208,7 +209,6 @@ def spectral_columns(k: int, jmax: int) -> list:
     column j - 1's times the poles, each height's weights are computed once, and admit_columns
     refuses a length past MAX_BITS before any column.
     """
-    _check_nonneg(k=k, jmax=jmax)
     admit_columns(k, jmax)
     level, bits = min(k, jmax), _bits(jmax)
     sines, poles = _angles(level, bits) if level else ((), ())  # level 0 has no pole to raise

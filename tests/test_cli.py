@@ -184,6 +184,14 @@ def test_count_functions_share_one_input_contract(name, args):
         COUNTERS[name](*args)
 
 
+@pytest.mark.parametrize("backend", list(cli.BACKENDS))
+@pytest.mark.parametrize("args", [(True, 4), (2.0, 4), (-1, 4), (3, -1), (3, False)], ids=repr)
+def test_sweeps_share_one_input_contract(backend, args):
+    # a sweep clamps its level to min(k, jmax), which must not let a bad jmax through
+    with pytest.raises(ValueError):
+        cli.BACKENDS[backend].sweep(*args)
+
+
 @pytest.mark.parametrize("args", BAD_INPUTS, ids=repr)
 def test_spectral_functions_share_one_input_contract(args):
     # the one bad value of each triple, in every integer argument
@@ -591,7 +599,7 @@ def test_verify_flag_validation():
 
 
 def _patch_sweep(monkeypatch, backend, sweep):
-    monkeypatch.setitem(cli.BACKENDS, backend, (cli.BACKENDS[backend][0], sweep))
+    monkeypatch.setitem(cli.BACKENDS, backend, cli.BACKENDS[backend]._replace(sweep=sweep))
 
 
 def test_verify_reports_first_mismatch(monkeypatch):
@@ -704,6 +712,51 @@ def test_verify_refuses_spectral_precision_before_any_level(monkeypatch, jobs):
     monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
     assert run(["verify", "--kmax", "1", "--jmax", "60", "--jobs", jobs]) == (
         2, "", f"error: {single.value}\n")
+
+
+SPECTRAL_AT_0 = ("error: no stable integer for (k=0, i=0, j=65514) within 65536 bits"
+                 " (last residual: never evaluated)\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv, loser, err", [
+    # every level's table is admitted before any backend's sweep, so dyck's cap comes second
+    (["--kmax", "3000", "--jmax", "3000", "--backends", "dp,dyck"], "dyck",
+     "error: table for k=763, jmax=3000 needs 1000840 entries, budget is 1000000\n"),
+    (["--kmax", "2", "--jmax", "400000"], "spectral",
+     "error: table for k=2, jmax=400000 needs up to 120001400002 bits of counts,"
+     " budget is 4096000000\n"),
+    # then the listed backends in registry order, whatever the order of --backends
+    (["--kmax", "1", "--jmax", "100000", "--backends", "matrix,spectral"], "matrix", SPECTRAL_AT_0),
+    (["--kmax", "1", "--jmax", "100000", "--backends", "spectral,matrix"], "matrix", SPECTRAL_AT_0),
+], ids=["table-dyck", "table-spectral", "matrix,spectral", "spectral,matrix"])
+def test_verify_refusal_precedence(monkeypatch, argv, loser, err, jobs):
+    # each argv trips two refusals: the one printed, and the loser's at level 0
+    with pytest.raises((ValueError, TableBudgetError, PrecisionExhaustedError)):
+        cli.BACKENDS[loser].admit(0, int(argv[3]))
+    _no_sweeps(monkeypatch)
+    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
+    assert run(["verify", *argv, "--jobs", jobs]) == (2, "", err)
+
+
+def test_verify_names_no_backend():
+    # verify reaches each backend's sweep and refusal through its registry entry, so no
+    # backend-specific case can sit in the verify code itself
+    import inspect
+    for func in (cli._cmd_verify, cli._verify_task):
+        source = inspect.getsource(func)
+        for name in cli.BACKENDS:
+            assert f'"{name}"' not in source and f"'{name}'" not in source, (func.__name__, name)
+
+
+@pytest.mark.parametrize("backend", list(cli.BACKENDS))
+def test_every_sweep_runs_at_level_min_k_jmax(backend):
+    # called directly with k far above jmax, a sweep stops at height jmax, as dp does
+    sweep = cli.BACKENDS[backend].sweep(300, 6)
+    assert len(sweep) == 7 and max(map(len, sweep)) <= 7
+    for j, col in enumerate(diagram.dp_columns(300, 6)):
+        for i in diagram.vertex_heights(300, j):
+            assert sweep[j][i] == col[i], (i, j)
 
 
 def test_verify_task_returns_mismatches_not_columns():

@@ -29,13 +29,25 @@ def test_enumerate_matches_dp():
 
 
 def test_endpoint_counts_row():
-    # verify's one enumeration to depth 18 tallies what an enumeration to each depth does
+    # verify's one enumeration to depth 18 tallies what an enumeration to each depth does; a
+    # row holds the heights up to min(k, jmax), all that a path of jmax steps can reach
     for k in range(0, 10):
         tallies = endpoint_tallies(k, 18)
         assert len(tallies) == 19
         for j in range(0, 19):
-            row = endpoint_counts(k, j)
-            assert tallies[j] == row == [count_dp(k, i, j) for i in range(k + 1)], (k, j)
+            assert tallies[j] == [count_dp(k, i, j) for i in range(k + 1)], (k, j)
+            assert endpoint_counts(k, j) == tallies[j][:min(k, j) + 1], (k, j)
+
+
+def test_an_unused_bound_k_allocates_nothing():
+    import tracemalloc
+    # two steps reach three heights whatever k, so the rows hold three entries, not k + 1
+    tracemalloc.start()
+    row = endpoint_counts(10**6, 2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert row == [1, 0, 1]
+    assert peak < 1_000_000
 
 
 def test_enumeration_visits_every_path_once():
@@ -44,7 +56,7 @@ def test_enumeration_visits_every_path_once():
     for k in range(0, 6):
         for j in range(0, 13):
             tallies = endpoint_tallies(k, j)
-            ends = [0] * (k + 1)
+            ends = [0] * (min(k, j) + 1)
             for path in iter_paths(k, j):
                 ends[heights(path)[-1]] += 1
             assert tallies[j] == ends, (k, j)

@@ -86,6 +86,9 @@ GOLDEN = [
      EMPTY, "error: unknown backend 'nope'; choose from dp, dyck, gf, spectral, matrix\n", 2),
     (["verify", "--kmax", "2", "--jmax", "30", "--backends", "dp,dyck"],
      EMPTY, "error: the dyck backend enumerates at most 26 steps; lower --jmax\n", 2),
+    # every level's table is admitted before dyck's cap
+    (["verify", "--kmax", "3000", "--jmax", "3000", "--backends", "dp,dyck"],
+     EMPTY, "error: table for k=763, jmax=3000 needs 1000840 entries, budget is 1000000\n", 2),
     (["verify", "--kmax", "2", "--jmax", "400000", "--backends", "gf,dp"],
      EMPTY, (
         "error: table for k=2, jmax=400000 needs up to 120001400002 bits of counts,"
