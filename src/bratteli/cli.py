@@ -83,6 +83,7 @@ def _sweep_gf(k: int, jmax: int) -> list:
 
 
 def _admit_dyck(k: int, jmax: int) -> None:
+    _check_nonneg(k=k, jmax=jmax)
     if jmax > MAX_LENGTH:
         raise ValueError(f"the dyck backend enumerates at most {MAX_LENGTH} steps; lower --jmax")
 
@@ -158,25 +159,29 @@ def table_to_json(table: CountTable) -> str:
 def table_to_pretty(table: CountTable) -> str:
     """Triangular plain-text layout, heights top-down, lengths left-right.
 
-    The layout has a row for every height up to k, so it is refused with
-    TableBudgetError when it would hold more than MAX_ENTRIES cells.
+    The layout has a row for every height up to k and pads every cell to the
+    widest count, so it is refused with TableBudgetError when it would hold
+    more than MAX_ENTRIES cells or MAX_ENTRIES * 128 bytes.
     """
-    _check_budget(f"pretty table for k={table.k}, jmax={table.jmax} needs",
-                  (table.k + 1) * (table.jmax + 1), "cells")
+    what = f"pretty table for k={table.k}, jmax={table.jmax} needs"
+    _check_budget(what, (table.k + 1) * (table.jmax + 1), "cells")
     # counts are nonnegative, so the largest is the widest
     width = max(len(str(max(map(max, table.columns)))), len(str(table.jmax)))
-    blank = " " * width
-    lines = []
-    for i in range(table.k, -1, -1):
-        # height i has vertices at lengths i, i + 2, ...
-        cells = [blank] * (table.jmax + 1)
-        for j in range(i, table.jmax + 1, 2):
-            cells[j] = str(table.columns[j][i]).rjust(width)
-        lines.append(f"{i:>3} | " + " ".join(cells).rstrip())
-    lines.append("----+-" + "-" * ((width + 1) * (table.jmax + 1) - 1))
-    lines.append("  j | " + " ".join(str(j).rjust(width) for j in range(table.jmax + 1)))
-    lines.append("")
-    return "\n".join(lines)
+    _check_budget(what, (table.k + 1) * (table.jmax + 1) * (width + 1), "bytes", 128)
+    # one join over every part: a count follows the previous one on its row after a blank cell,
+    # two separators and the pad that every count of its length shares
+    pads = [" " * (2 * width + 2 - n) for n in range(width + 1)]
+    parts = [f"{i:>3} | \n" for i in range(table.k, table.jmax, -1)]  # no path climbs above jmax
+    for i in range(min(table.k, table.jmax), -1, -1):
+        # height i has vertices at lengths i, i + 2, ...; the first count ends cell i
+        first, *rest = [str(col[i]) for col in table.columns[i::2]]
+        parts.append(f"{i:>3} | " + " " * (i * (width + 1) + width - len(first)) + first)
+        for count in rest:
+            parts += pads[len(count)], count
+        parts.append("\n")
+    parts.append("----+-" + "-" * ((width + 1) * (table.jmax + 1) - 1) + "\n")
+    parts.append("  j | " + " ".join(str(j).rjust(width) for j in range(table.jmax + 1)) + "\n")
+    return "".join(parts)
 
 
 def _cmd_table(args) -> int:

@@ -187,9 +187,12 @@ def test_count_functions_share_one_input_contract(name, args):
 @pytest.mark.parametrize("backend", list(cli.BACKENDS))
 @pytest.mark.parametrize("args", [(True, 4), (2.0, 4), (-1, 4), (3, -1), (3, False)], ids=repr)
 def test_sweeps_share_one_input_contract(backend, args):
-    # a sweep clamps its level to min(k, jmax), which must not let a bad jmax through
+    # a sweep clamps its level to min(k, jmax), which must not let a bad jmax through, and its
+    # admission refuses what the sweep refuses
     with pytest.raises(ValueError):
         cli.BACKENDS[backend].sweep(*args)
+    with pytest.raises(ValueError):
+        cli.BACKENDS[backend].admit(*args)
 
 
 @pytest.mark.parametrize("args", BAD_INPUTS, ids=repr)
@@ -356,7 +359,9 @@ def test_table_json_round_trip():
     assert parsed == build_table(3, 9).entries
 
 
-TABLE_SHAPES = [(0, 0), (0, 6), (1, 1), (3, 9), (12, 40), (40, 12), (2, 300)]
+# (0, 15) and (1, 12): the width is jmax's digits, not the counts'; (5, 0): heights above jmax
+TABLE_SHAPES = [(0, 0), (0, 6), (1, 1), (3, 9), (12, 40), (40, 12), (2, 300), (0, 15), (1, 12),
+                (5, 0)]
 
 
 def _vertex_order(table):
@@ -394,6 +399,18 @@ def test_table_pretty_matches_vertex_lookup(k, jmax):
     lines.append("----+-" + "-" * ((width + 1) * (jmax + 1) - 1))
     lines.append("  j | " + " ".join(str(j).rjust(width) for j in range(jmax + 1)))
     assert cli.table_to_pretty(table) == "\n".join(lines) + "\n"
+
+
+def test_table_pretty_holds_one_copy_of_its_text():
+    # the parts of the layout and the joined text, not a padded copy of every line besides
+    import tracemalloc
+    table = build_table(60, 600)
+    tracemalloc.start()
+    try:
+        text = cli.table_to_pretty(table)
+        assert tracemalloc.get_traced_memory()[1] < 1.75 * len(text)
+    finally:
+        tracemalloc.stop()
 
 
 def test_table_writers_leave_the_vertex_mapping_unbuilt():

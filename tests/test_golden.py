@@ -67,6 +67,10 @@ GOLDEN = [
      "b5cd198697006b34021392cb60fcf77b5b8f71ad24008db3ddb0a4f453fe53d4", "", 0),
     (["table", "--k", "9", "--jmax", "3", "--format", "pretty"],
      "73c0183a299385a626afc24c4f4075e06ded9fae341ca2ce5ca4faa385da8349", "", 0),
+    # 10**6 cells fit the cell budget, but each is padded to 298 digits and a blank
+    (["table", "--k", "999", "--jmax", "999", "--format", "pretty"],
+     EMPTY, "error: pretty table for k=999, jmax=999 needs 299000000 bytes, budget is 128000000\n",
+     2),
     (["gf", "--k", "5", "--i", "0", "--even"],
      "3a791d11a5bc8519c2f23bc92faef546800409c3fb4600cb872a343b9172b689", "", 0),
     (["gf", "--k", "3", "--i", "1"],
@@ -148,15 +152,32 @@ RESIDUES = [["residues", "--k", str(k), "--i", str(i), "--bits", str(bits)]
 RESIDUES_DIGEST = "4f0221cddbc4780de6308a818d431ea4023e341a50996421435ab93b3c45d4bb"
 
 
-def test_residues_bytes_are_pinned(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+# every level k <= 12 with jmax below, at and above it, and one layout of 306-digit counts
+PRETTY = [["table", "--k", str(k), "--jmax", str(jmax), "--format", "pretty"]
+          for k in range(13) for jmax in (0, 1, 2, 3, 7, 15, 40)]
+PRETTY.append(["table", "--k", "29", "--jmax", "1029", "--format", "pretty"])
+# sha256 over the json of [argv, exit code, stdout, stderr] of each, in order
+PRETTY_DIGEST = "26e635db3a6c42010fe9d5e6afdba30a13b118d7d800793afe4bec2ae7594c9b"
+
+
+def _digest(argvs: list) -> str:
     digest = hashlib.sha256()
-    for argv in RESIDUES:
+    for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
         digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
-    assert digest.hexdigest() == RESIDUES_DIGEST
+    return digest.hexdigest()
+
+
+def test_residues_bytes_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _digest(RESIDUES) == RESIDUES_DIGEST
+
+
+def test_pretty_table_bytes_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _digest(PRETTY) == PRETTY_DIGEST
 
 
 def _readme_examples() -> list:
