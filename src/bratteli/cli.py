@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from collections import namedtuple
+from itertools import chain, islice
 
 # adjacency_power_row and endpoint_counts are not called here: bench/inproc.py wraps cli's names
 from .diagram import (
@@ -34,6 +35,7 @@ from .dyck import MAX_LENGTH, endpoint_counts, endpoint_tallies, enumerate_count
 from .genfunc import (LinearRecurrence, decimate, gf_closed_form, recurrence_from_gf,
                       series_coeff, series_coeffs)
 from .spectral import (
+    MAX_BITS,
     PrecisionExhaustedError,
     admit_columns,
     count_spectral,
@@ -137,23 +139,27 @@ def _cmd_count(args) -> int:
 # table emission
 
 
+def _fill(table: CountTable, head: str, field, tail: str) -> str:
+    # head, field(i, j) at every vertex in (j, i) order and tail, as one printf template applied
+    # once to the counts: % writes each int's digits straight into the text.  The fields are
+    # joined 4096 at a time, so no str per vertex is kept; no field is empty, so "" ends them
+    k = table.k
+    fields = (field(i, j) for j in range(table.jmax + 1) for i in vertex_heights(k, j))
+    chunks = iter(lambda: "".join(islice(fields, 4096)), "")
+    # column j's vertices are its entries i = j % 2, j % 2 + 2, ... up to min(k, j)
+    counts = chain.from_iterable(col[j % 2:j + 1:2] for j, col in enumerate(table.columns))
+    return "".join([head, *chunks, tail]) % tuple(counts)
+
+
 def table_to_csv(table: CountTable) -> str:
-    lines = ["j,i,count"]
-    for j, col in enumerate(table.columns):
-        lines.extend(f"{j},{i},{col[i]}" for i in vertex_heights(table.k, j))
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+    return _fill(table, "j,i,count\n", "{1},{0},%d\n".format, "")
 
 
 def table_to_json(table: CountTable) -> str:
-    # json.dumps's layout in one join: counts are digit strings, so nothing needs
-    # escaping, and (0, 0) is the only vertex without a separator before it
-    rows = (
-        f'{", " if j else ""}{{"i": {i}, "j": {j}, "count": "{col[i]}"}}'
-        for j, col in enumerate(table.columns)
-        for i in vertex_heights(table.k, j)
-    )
-    return "".join([f'{{"k": {table.k}, "jmax": {table.jmax}, "entries": [', *rows, "]}\n"])
+    # json.dumps's layout: counts are digit strings, so nothing needs escaping, and (0, 0) is
+    # the only vertex without a separator before it
+    return _fill(table, f'{{"k": {table.k}, "jmax": {table.jmax}, "entries": [',
+                 lambda i, j: f'{", " if j else ""}{{"i": {i}, "j": {j}, "count": "%d"}}', "]}\n")
 
 
 def table_to_pretty(table: CountTable) -> str:
@@ -168,20 +174,15 @@ def table_to_pretty(table: CountTable) -> str:
     # counts are nonnegative, so the largest is the widest
     width = max(len(str(max(map(max, table.columns)))), len(str(table.jmax)))
     _check_budget(what, (table.k + 1) * (table.jmax + 1) * (width + 1), "bytes", 128)
-    # one join over every part: a count follows the previous one on its row after a blank cell,
-    # two separators and the pad that every count of its length shares
-    pads = [" " * (2 * width + 2 - n) for n in range(width + 1)]
-    parts = [f"{i:>3} | \n" for i in range(table.k, table.jmax, -1)]  # no path climbs above jmax
-    for i in range(min(table.k, table.jmax), -1, -1):
-        # height i has vertices at lengths i, i + 2, ...; the first count ends cell i
-        first, *rest = [str(col[i]) for col in table.columns[i::2]]
-        parts.append(f"{i:>3} | " + " " * (i * (width + 1) + width - len(first)) + first)
-        for count in rest:
-            parts += pads[len(count)], count
-        parts.append("\n")
-    parts.append("----+-" + "-" * ((width + 1) * (table.jmax + 1) - 1) + "\n")
-    parts.append("  j | " + " ".join(str(j).rjust(width) for j in range(table.jmax + 1)) + "\n")
-    return "".join(parts)
+    # one template over the counts: height i has vertices at lengths i, i + 2, ...; its first
+    # count ends cell i, and each later one is padded over a blank cell and two separators
+    rows = range(min(table.k, table.jmax), -1, -1)
+    template = [f"{i:>3} | \n" for i in range(table.k, table.jmax, -1)]  # no path climbs above jmax
+    template += (f"{i:>3} | %{i * (width + 1) + width}d"
+                 + f"%{2 * width + 2}d" * ((table.jmax - i) // 2) + "\n" for i in rows)
+    template.append("----+-" + "-" * ((width + 1) * (table.jmax + 1) - 1) + "\n")
+    template.append("  j | " + " ".join(str(j).rjust(width) for j in range(table.jmax + 1)) + "\n")
+    return "".join(template) % tuple(col[i] for i in rows for col in table.columns[i::2])
 
 
 def _cmd_table(args) -> int:
@@ -225,7 +226,15 @@ def _cmd_gf(args) -> int:
     return 0
 
 
+def _admit_bits(what: str, bits: int) -> None:
+    # measured: residues --k 5 --i 0 --bits 65536 takes 1.0 s and rate --k 5 --digits 16384 (65536
+    # bits) 0.27 s, while a million bits of residues ran past 30 s
+    if bits > MAX_BITS:
+        raise ValueError(f"{what} {bits} bits, budget is {MAX_BITS}")
+
+
 def _cmd_residues(args) -> int:
+    _admit_bits(f"residues for k={args.k} need", args.bits)
     import mpmath
     dec = residue_decomposition(args.k, args.i, bits=args.bits)
     # no more digits than the precision holds
@@ -236,8 +245,9 @@ def _cmd_residues(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    import mpmath
     bits = max(128, 4 * args.digits)
+    _admit_bits(f"rate to {args.digits} digits needs", bits)
+    import mpmath
     exact = growth_rate(args.k, bits=bits)
     print("exact", mpmath.nstr(exact, args.digits))
     try:

@@ -401,14 +401,16 @@ def test_table_pretty_matches_vertex_lookup(k, jmax):
     assert cli.table_to_pretty(table) == "\n".join(lines) + "\n"
 
 
-def test_table_pretty_holds_one_copy_of_its_text():
-    # the parts of the layout and the joined text, not a padded copy of every line besides
+@pytest.mark.parametrize("write, bound", [(cli.table_to_csv, 1.6), (cli.table_to_json, 1.6),
+                                          (cli.table_to_pretty, 1.3)], ids=["csv", "json", "pretty"])
+def test_table_writers_hold_one_copy_of_their_text(write, bound):
+    # the template, the tuple of counts and the text, but no str of every count besides
     import tracemalloc
     table = build_table(60, 600)
     tracemalloc.start()
     try:
-        text = cli.table_to_pretty(table)
-        assert tracemalloc.get_traced_memory()[1] < 1.75 * len(text)
+        text = write(table)
+        assert tracemalloc.get_traced_memory()[1] < bound * len(text)
     finally:
         tracemalloc.stop()
 
@@ -529,6 +531,24 @@ def test_rate_says_why_the_empirical_rate_is_undefined():
     for argv in (["rate", "--k", "0"], ["rate", "--k", "3", "--i", "5"]):
         code, out, _ = run(argv)
         assert code == 0 and out.endswith("\nempirical undefined (counts vanish)\n"), argv
+
+
+def test_precision_is_admitted_up_to_max_bits(monkeypatch):
+    # residues' --bits and rate's 4 * --digits are refused past MAX_BITS before any mpmath work
+    monkeypatch.setattr(cli, "MAX_BITS", 256)
+    monkeypatch.setattr(cli, "residue_decomposition", None)
+    monkeypatch.setattr(cli, "growth_rate", None)
+    assert run(["residues", "--k", "3", "--i", "1", "--bits", "257"]) == (
+        2, "", "error: residues for k=3 need 257 bits, budget is 256\n")
+    assert run(["rate", "--k", "3", "--digits", "65"]) == (
+        2, "", "error: rate to 65 digits needs 260 bits, budget is 256\n")
+    monkeypatch.undo()
+    # the largest precision admitted at the real bound
+    code, out, _ = run(["rate", "--k", "0", "--digits", "16384"])
+    assert code == 0 and out.startswith("exact 0.0\n")
+    monkeypatch.setattr(cli, "MAX_BITS", 256)
+    assert run(["residues", "--k", "3", "--i", "1", "--bits", "256"])[0] == 0
+    assert run(["rate", "--k", "3", "--digits", "64"])[0] == 0
 
 
 def test_argument_with_too_many_digits_is_refused_briefly():

@@ -122,6 +122,10 @@ GOLDEN = [
         + "bratteli count: error: argument --k: must be nonnegative\n", 2),
     (["gf", "--k", "2", "--i", "3"],
      EMPTY, "error: need 0 <= i <= k, got i=3, k=2\n", 2),
+    (["residues", "--k", "5", "--i", "0", "--bits", "1000000"],
+     EMPTY, "error: residues for k=5 need 1000000 bits, budget is 65536\n", 2),
+    (["rate", "--k", "5", "--digits", "10000000"],
+     EMPTY, "error: rate to 10000000 digits needs 40000000 bits, budget is 65536\n", 2),
     ([],
      EMPTY, (
         "usage: bratteli [-h] {count,table,gf,residues,rate,verify} ...\n"
@@ -152,12 +156,17 @@ RESIDUES = [["residues", "--k", str(k), "--i", str(i), "--bits", str(bits)]
 RESIDUES_DIGEST = "4f0221cddbc4780de6308a818d431ea4023e341a50996421435ab93b3c45d4bb"
 
 
-# every level k <= 12 with jmax below, at and above it, and one layout of 306-digit counts
-PRETTY = [["table", "--k", str(k), "--jmax", str(jmax), "--format", "pretty"]
-          for k in range(13) for jmax in (0, 1, 2, 3, 7, 15, 40)]
-PRETTY.append(["table", "--k", "29", "--jmax", "1029", "--format", "pretty"])
+# every level k <= 12 with jmax below, at and above it, and one table of 306-digit counts
+TABLE_SHAPES = [(k, jmax) for k in range(13) for jmax in (0, 1, 2, 3, 7, 15, 40)] + [(29, 1029)]
+TABLES = {fmt: [["table", "--k", str(k), "--jmax", str(jmax), "--format", fmt]
+                for k, jmax in TABLE_SHAPES]
+          for fmt in ("csv", "json", "pretty")}
 # sha256 over the json of [argv, exit code, stdout, stderr] of each, in order
-PRETTY_DIGEST = "26e635db3a6c42010fe9d5e6afdba30a13b118d7d800793afe4bec2ae7594c9b"
+TABLE_DIGESTS = {
+    "csv": "d903e88a35fca335786bd8b63fcf34589f75f69565d16f6df60b27c09ed6b822",
+    "json": "620dfd964fc664c6f79f2b522f2c44aa242293c410245a8b2e0f84c5ca86b117",
+    "pretty": "26e635db3a6c42010fe9d5e6afdba30a13b118d7d800793afe4bec2ae7594c9b",
+}
 
 
 def _digest(argvs: list) -> str:
@@ -175,9 +184,10 @@ def test_residues_bytes_are_pinned(monkeypatch):
     assert _digest(RESIDUES) == RESIDUES_DIGEST
 
 
-def test_pretty_table_bytes_are_pinned(monkeypatch):
+@pytest.mark.parametrize("fmt", list(TABLES))
+def test_table_bytes_are_pinned(monkeypatch, fmt):
     monkeypatch.setenv("COLUMNS", "80")
-    assert _digest(PRETTY) == PRETTY_DIGEST
+    assert _digest(TABLES[fmt]) == TABLE_DIGESTS[fmt]
 
 
 def _readme_examples() -> list:
