@@ -15,7 +15,7 @@ import sys
 from collections import namedtuple
 from itertools import chain, islice
 
-# adjacency_power_row and endpoint_counts are not called here: bench/inproc.py wraps cli's names
+# endpoint_counts is not called here: bench/inproc.py wraps cli's names
 from .diagram import (
     CountTable,
     TableBudgetError,
@@ -27,8 +27,8 @@ from .diagram import (
     admit_table,
     build_table,
     count_dp,
-    count_matrix_power,
     dp_columns,
+    is_vertex,
     vertex_heights,
 )
 from .dyck import MAX_LENGTH, endpoint_counts, endpoint_tallies, enumerate_count
@@ -77,6 +77,11 @@ def _count_gf(k: int, i: int, j: int) -> int:
     return series_coeff(gf_closed_form(level, i), j, nonnegative=True) if i <= level else 0
 
 
+def _count_matrix(k: int, i: int, j: int) -> int:
+    level = min(k, j)
+    return adjacency_power_row(level, j)[i] if is_vertex(level, i, j) else 0
+
+
 def _sweep_gf(k: int, jmax: int) -> list:
     admit_table(k, jmax)
     k = min(k, jmax)
@@ -104,8 +109,7 @@ BACKENDS = {
     "gf": Backend(_count_gf, _sweep_gf, admit_table),
     "spectral": Backend(lambda k, i, j: count_spectral(k, i, j),
                         lambda k, jmax: spectral_columns(k, jmax), admit_columns),
-    "matrix": Backend(lambda k, i, j: count_matrix_power(k, i, j),
-                      lambda k, jmax: adjacency_power_rows(k, jmax), admit_rows),
+    "matrix": Backend(_count_matrix, lambda k, jmax: adjacency_power_rows(k, jmax), admit_rows),
 }
 
 
@@ -247,6 +251,7 @@ def _cmd_residues(args) -> int:
 def _cmd_rate(args) -> int:
     bits = max(128, 4 * args.digits)
     _admit_bits(f"rate to {args.digits} digits needs", bits)
+    admit_table(args.k, args.jmax)  # the empirical rate walks the DP columns of this table
     import mpmath
     exact = growth_rate(args.k, bits=bits)
     print("exact", mpmath.nstr(exact, args.digits))

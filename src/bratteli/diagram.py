@@ -40,7 +40,7 @@ def _check_height(k: int, i: int) -> None:
 
 
 def is_vertex(k: int, i: int, j: int) -> bool:
-    """True when (i, j) is a vertex of the level-k diagram (reachable from the origin)."""
+    """True when (i, j) is a vertex of the level-k diagram; at k = 0 only (0, 0) is reachable."""
     return 0 <= i <= k and 0 <= i <= j and (i + j) % 2 == 0
 
 
@@ -197,17 +197,3 @@ def adjacency_power_rows(k: int, jmax: int) -> list:
             powers.append(c)
         rows.append([c[i] - c[-i - 2] for i in range(level + 1)])
     return rows
-
-
-def count_matrix_power(k: int, i: int, j: int) -> int:
-    """Entry (0, i) of the j-th power of the path-graph adjacency matrix.
-
-    Agrees with count_dp everywhere and, like it, runs at level min(k, j);
-    costs O(min(k, j)**2 log j) big-integer multiplications via binary
-    powering of the folded matrix.
-    """
-    _check_nonneg(k=k, i=i, j=j)
-    level = min(k, j)
-    if not is_vertex(level, i, j):
-        return 0
-    return adjacency_power_row(level, j)[i]

@@ -183,14 +183,10 @@ def make_gf(num: list, den: list) -> RationalGF:
         raise ValueError("zero denominator")
     if not num:
         return RationalGF((), (1,))
-    g = poly_gcd(num, den)
+    g = poly_gcd(num, den)  # it carries the contents' gcd: the quotients' contents are coprime
     if len(g) > 1 or g[0] != 1:
         num = poly_divexact(num, g)
         den = poly_divexact(den, g)
-    c = gcd(poly_content(num), poly_content(den))
-    if c > 1:
-        num = [x // c for x in num]
-        den = [x // c for x in den]
     if den[0] == 0:
         raise ValueError("denominator vanishes at 0; not a power series")
     if abs(den[0]) != 1:

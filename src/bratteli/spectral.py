@@ -20,12 +20,12 @@ at first use, serves ``residue_decomposition``, ``growth_rate`` and ``empirical_
 """
 
 from bisect import bisect_right
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .diagram import (_check_budget, _check_height, _check_nonneg, count_dp, is_vertex,
+from .diagram import (_check_budget, _check_height, _check_nonneg, dp_columns, is_vertex,
                       vertex_heights)
 
 MAX_BITS = 1 << 16  # count_spectral refuses a length that needs more precision
@@ -242,8 +242,8 @@ def empirical_rate(k: int, i: int, jmax: int, bits: int = 128):
     jm = jmax - (i + jmax) % 2
     if jm < 2:
         raise ValueError("jmax too small: need at least two usable lengths")
-    a = count_dp(k, i, jm)
-    b = count_dp(k, i, jm - 2)
+    # columns jm - 2, jm - 1 and jm of one DP pass; a height above min(k, jm) counts 0
+    b, _, a = (col[i] if i < len(col) else 0 for col in deque(dp_columns(k, jm), maxlen=3))
     if a == 0 or b == 0:
         raise ValueError("counts vanish")
     import mpmath

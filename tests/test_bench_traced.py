@@ -22,6 +22,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OPS = [
     {"kind": "count", "argv": ["count", "--k", "3", "--i", "1", "--j", "11"],
      "k": 3, "i": 1, "j": 11},
+    {"kind": "count", "argv": ["count", "--k", "2", "--i", "0", "--j", "150", "--backend", "matrix"],
+     "k": 2, "i": 0, "j": 150},
     {"kind": "verify", "argv": ["verify", "--kmax", "3", "--jmax", "10", "--jobs", "1"],
      "kmax": 3, "jmax": 10, "backends": ["dp", "matrix", "gf", "spectral"]},
 ] + [
@@ -43,7 +45,8 @@ def test_bench_traced_run_records_spans():
     assert [reply["error"] for reply in replies] == [None] * len(OPS)
     spans = {span[0]: span[4] for reply in replies for span in reply["spans"]}
     assert "diagram.build_table" in spans
-    for op in OPS[2:]:
+    assert spans["diagram.adjacency_power_row"] == [2, 150]  # the matrix count's (level, j)
+    for op in (op for op in OPS if op["kind"] == "table"):
         out = io.StringIO()
         with redirect_stdout(out):
             assert cli.main(op["argv"]) == 0

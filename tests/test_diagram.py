@@ -1,13 +1,14 @@
+from functools import partial
+
 import pytest
 
-from bratteli import diagram
+from bratteli import cli, diagram
 from bratteli.diagram import (
     TableBudgetError,
     adjacency_power_row,
     adjacency_power_rows,
     build_table,
     count_dp,
-    count_matrix_power,
     dp_columns,
     is_vertex,
     table_size,
@@ -45,7 +46,9 @@ def test_negative_arguments_raise():
     with pytest.raises(ValueError):
         count_dp(2, -1, 4)
     with pytest.raises(ValueError):
-        count_matrix_power(2, 0, -3)
+        adjacency_power_row(2, -3)
+    with pytest.raises(ValueError):
+        cli.count_via("matrix", 2, 0, -3)
     with pytest.raises(ValueError):
         build_table(3, -1)
 
@@ -115,14 +118,15 @@ def test_table_size_and_budget(monkeypatch):
 
 
 def test_matrix_power_matches_dp():
-    assert count_matrix_power(2, 0, 6) == 4
-    assert count_matrix_power(7, 3, 3) == 1
-    assert count_matrix_power(3, 1, 0) == 0
-    assert count_matrix_power(1, 5, 2) == 0  # i beyond the band
+    count_matrix = partial(cli.count_via, "matrix")
+    assert count_matrix(2, 0, 6) == 4
+    assert count_matrix(7, 3, 3) == 1
+    assert count_matrix(3, 1, 0) == 0
+    assert count_matrix(1, 5, 2) == 0  # i beyond the band
     for k in range(0, 6):
         for j in range(0, 16):
             for i in range(k + 1):
-                assert count_matrix_power(k, i, j) == count_dp(k, i, j), (k, i, j)
+                assert count_matrix(k, i, j) == count_dp(k, i, j), (k, i, j)
     # the fold itself: k = 0, both parities, j < k (zeros above height j) and powers
     # that wrap around the 2(k+2)-cycle; verify's rows square each power from power j // 2
     for k in range(0, 25):
@@ -174,6 +178,6 @@ def test_matrix_power_skips_unreachable_targets(monkeypatch):
     def refuse(k, j):
         raise AssertionError(f"adjacency_power_row({k}, {j}) for an unreachable target")
 
-    monkeypatch.setattr(diagram, "adjacency_power_row", refuse)
-    assert count_matrix_power(5, 1, 10000) == 0  # wrong parity
-    assert count_matrix_power(5, 7, 10000) == 0  # above the band
+    monkeypatch.setattr(cli, "adjacency_power_row", refuse)
+    assert cli.count_via("matrix", 5, 1, 10000) == 0  # wrong parity
+    assert cli.count_via("matrix", 5, 7, 10000) == 0  # above the band

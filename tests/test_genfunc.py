@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bratteli.diagram import count_dp
 from bratteli.dyck import enumerate_count
@@ -20,6 +21,7 @@ from bratteli.genfunc import (
     gf_shift,
     gf_sub,
     make_gf,
+    poly_content,
     poly_divexact,
     poly_eval,
     poly_gcd,
@@ -109,6 +111,24 @@ def test_make_gf_normalization():
     with pytest.raises(ValueError):
         make_gf([1], [2, 1])
     assert make_gf([], [5, 3]) == GF_ZERO
+
+
+_POLYS = st.lists(st.integers(-40, 40), min_size=1, max_size=6).filter(lambda p: p[-1] != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_POLYS, b=_POLYS, f=_POLYS, unit=st.sampled_from([1, -1]), content=st.integers(1, 60))
+def test_make_gf_leaves_no_common_factor(a, b, f, unit, content):
+    # a f / b f with f of any content: poly_gcd carries the contents' gcd, so dividing by it alone
+    # leaves coprime contents.  b(0) = +-1 keeps the reduced den(0) a unit
+    b = [unit, *b]
+    f = [content * c for c in f]
+    g = make_gf(poly_mul(a, f), poly_mul(b, f))
+    num, den = list(g.num), list(g.den)
+    assert math.gcd(poly_content(num), poly_content(den)) == 1
+    assert poly_gcd(num, den) == [1]
+    assert den[0] == 1
+    assert poly_mul(num, b) == poly_mul(den, a)  # the same series as a / b
 
 
 def test_bounded_dyck_gf_values():

@@ -126,6 +126,8 @@ GOLDEN = [
      EMPTY, "error: residues for k=5 need 1000000 bits, budget is 65536\n", 2),
     (["rate", "--k", "5", "--digits", "10000000"],
      EMPTY, "error: rate to 10000000 digits needs 40000000 bits, budget is 65536\n", 2),
+    (["rate", "--k", "5", "--jmax", "100000000"],
+     EMPTY, "error: table for k=5, jmax=100000000 needs 299999997 entries, budget is 1000000\n", 2),
     ([],
      EMPTY, (
         "usage: bratteli [-h] {count,table,gf,residues,rate,verify} ...\n"

@@ -5,7 +5,7 @@ from math import floor
 import mpmath
 import pytest
 
-from bratteli import spectral
+from bratteli import diagram, spectral
 from bratteli.diagram import build_table, count_dp, dp_columns, vertex_heights
 from bratteli.genfunc import chebyshev_u, poly_eval
 from bratteli.spectral import (
@@ -279,6 +279,39 @@ def test_empirical_rate_domain():
         empirical_rate(3, 4, 200)  # i beyond the band
     with pytest.raises(ValueError):
         empirical_rate(3, 1, 1)  # nothing to take a ratio of
+
+
+def test_empirical_rate_walks_the_dp_once(monkeypatch):
+    import tracemalloc
+    walks, real = [], diagram.dp_columns
+
+    def counted(k, jmax):
+        walks.append((k, jmax))
+        return real(k, jmax)
+
+    monkeypatch.setattr(diagram, "dp_columns", counted)
+    monkeypatch.setattr(spectral, "dp_columns", counted, raising=False)
+    # the whole sweep of 2001 columns of 11 counts up to 1970 bits holds about 6 MB
+    tracemalloc.start()
+    rate = empirical_rate(10, 2, 2000)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert walks == [(10, 2000)]
+    assert peak < 100_000
+    with mpmath.workprec(128):
+        assert rate == mpmath.sqrt(mpmath.mpf(count_dp(10, 2, 2000)) / count_dp(10, 2, 1998))
+    # both counts come from the last three columns, heights above min(k, jm) reading 0
+    for k in range(6):
+        for i in range(k + 2):
+            for jmax in range(12):
+                jm = jmax - (i + jmax) % 2
+                a, b = (count_dp(k, i, jm), count_dp(k, i, jm - 2)) if jm >= 2 else (0, 0)
+                if a and b:
+                    with mpmath.workprec(128):
+                        assert empirical_rate(k, i, jmax) == mpmath.sqrt(mpmath.mpf(a) / b)
+                else:
+                    with pytest.raises(ValueError):
+                        empirical_rate(k, i, jmax)
 
 
 def test_empirical_rate_monotone_convergence():
