@@ -13,7 +13,7 @@ never exceeds k+1-s, which is the combinatorial heart of the product form
 of the generating function.
 """
 
-from .diagram import _check_nonneg
+from .diagram import _check_nonneg, is_vertex
 
 
 MAX_LENGTH = 26  # enumerate_count's cap on j: the search tree has up to 2**j leaves
@@ -62,14 +62,16 @@ def enumerate_count(k: int, i: int, j: int) -> int:
 
     The search holds every bounded prefix, one frontier byte each, and
     tallies the endpoints at depth j, at level min(k, j) since no path of j
-    steps climbs higher.  ``j`` must not exceed MAX_LENGTH (26) since the
-    tree has up to 2**j leaves.
+    steps climbs higher.  An unreachable (i, j) is 0 at any j; at a vertex
+    ``j`` must not exceed MAX_LENGTH (26) since the tree has up to 2**j leaves.
     """
     _check_nonneg(k=k, i=i, j=j)
+    level = min(k, j)
+    if not is_vertex(level, i, j):
+        return 0
     if j > MAX_LENGTH:
         raise ValueError(f"j={j} exceeds the enumeration cap of {MAX_LENGTH} steps")
-    level = min(k, j)
-    return endpoint_counts(level, j)[i] if i <= level else 0
+    return endpoint_counts(level, j)[i]
 
 
 def iter_paths(k: int, length: int):

@@ -1,10 +1,11 @@
 """Exact generating functions for bounded path counts.
 
 Polynomials are lists of Python ints in ascending degree order with no
-trailing zeros (the zero polynomial is the empty list), as in classic
-list-based polynomial code.  On top of them sit reduced rational
-generating functions and two constructions of the counting series for
-paths ending at height i in the level-k diagram:
+trailing zeros (the zero polynomial is the empty list).  make_gf and
+poly_gcd trim their arguments to that form; every other helper takes lists
+already in it.  On top of them sit reduced rational generating functions
+and two constructions of the counting series for paths ending at height i
+in the level-k diagram:
 
 * a product form built from the bounded-height Dyck series R_k, one factor
   per excursion of the last-departure factorization, and
@@ -87,18 +88,13 @@ def poly_eval(a: list, x):
 
 
 def poly_content(a: list) -> int:
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return g
+    return gcd(*a)
 
 
 def poly_divexact(a: list, b: list) -> list:
     """Exact quotient a / b over the integers; raises if b does not divide a."""
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
-    if not a:
-        return []
     rem = list(a)
     q = [0] * (len(a) - len(b) + 1)
     lead = b[-1]
@@ -131,9 +127,6 @@ def _pseudo_rem(a: list, b: list) -> list:
     lead = b[-1]
     rem = list(a)
     while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
         shift = len(rem) - len(b)
         f = rem[-1]
         rem = poly_sub(poly_scale(rem, lead), poly_shift(poly_scale(b, f), shift))
@@ -141,12 +134,8 @@ def _pseudo_rem(a: list, b: list) -> list:
 
 
 def poly_gcd(a: list, b: list) -> list:
-    """Greatest common divisor over the integers (primitive PRS, positive leading coefficient)."""
-    a, b = list(a), list(b)
-    if not a:
-        return poly_neg(b) if b and b[-1] < 0 else b
-    if not b:
-        return poly_neg(a) if a[-1] < 0 else a
+    """Greatest common divisor over the integers of a and b, trimmed (primitive PRS, lead > 0)."""
+    a, b = _trim(list(a)), _trim(list(b))
     cont = gcd(poly_content(a), poly_content(b))
     a, b = _primitive(a), _primitive(b)
     while b:
@@ -181,8 +170,6 @@ def make_gf(num: list, den: list) -> RationalGF:
     den = _trim(list(den))
     if not den:
         raise ValueError("zero denominator")
-    if not num:
-        return RationalGF((), (1,))
     g = poly_gcd(num, den)  # it carries the contents' gcd: the quotients' contents are coprime
     if len(g) > 1 or g[0] != 1:
         num = poly_divexact(num, g)

@@ -52,9 +52,12 @@ def test_count_basic():
 
 
 def test_count_unreachable_is_zero_not_error():
+    # too high, and, past dyck's 26-step cap, too high or of the wrong parity
     for backend in ("dp", "matrix", "dyck", "gf", "spectral"):
-        code, out, _ = run(["count", "--k", "2", "--i", "5", "--j", "7", "--backend", backend])
-        assert (code, out) == (0, "0\n"), backend
+        for i, j in ((5, 7), (5, 30), (1, 30)):
+            code, out, _ = run(["count", "--k", "2", "--i", str(i), "--j", str(j),
+                                "--backend", backend])
+            assert (code, out) == (0, "0\n"), (backend, i, j)
 
 
 def test_count_backends_agree_on_spot():
@@ -486,6 +489,16 @@ def test_gf_output():
     assert "offset: 1" in out
 
     assert run(["gf", "--k", "2", "--i", "3"])[0] == 2
+
+
+def test_gf_is_admitted_before_expanding(monkeypatch):
+    # (k // 2 + 1) * (k + 2) products for the recurrence's initial terms, at most 3 * 10**6
+    reached = []
+    monkeypatch.setattr(cli, "gf_closed_form", lambda k, i: reached.append(k) or GF_ONE)
+    assert run(["gf", "--k", "2448", "--i", "0"]) == (
+        2, "", "error: gf for k=2448 needs 3001250 products, budget is 3000000\n")
+    assert reached == []
+    assert run(["gf", "--k", "2447", "--i", "0"])[0] == 0 and reached == [2447]
 
 
 def test_residues_weights_sum_to_one():

@@ -86,7 +86,7 @@ def test_a_level_above_a_byte_is_refused_before_any_work():
 
 def test_length_cap():
     with pytest.raises(ValueError):
-        enumerate_count(2, 0, 27)
+        enumerate_count(2, 1, 27)  # a vertex: an unreachable one is 0 at any length
 
 
 def test_iter_paths_order_and_counts():

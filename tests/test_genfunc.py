@@ -95,6 +95,11 @@ def test_poly_gcd_and_divexact():
     assert poly_gcd([-1, 0, 1], [-2, 1, 1]) == [-1, 1]  # x**2-1 vs (x-1)(x+2)
     assert poly_gcd([2, 2], [4]) == [2]
     assert poly_gcd([], [0, -3]) == [0, 3]
+    # untrimmed or empty arguments: trimmed first, positive leading coefficient
+    assert poly_gcd([], [0, -1, 0, 0, 0]) == [0, 1]
+    assert poly_gcd([1, 0], []) == [1]
+    assert poly_gcd([], []) == []
+    assert poly_divexact([], [1, 1]) == []
     assert poly_divexact([-1, 0, 1], [1, 1]) == [-1, 1]
     with pytest.raises(ValueError):
         poly_divexact([1, 0, 1], [1, 1])
@@ -111,6 +116,8 @@ def test_make_gf_normalization():
     with pytest.raises(ValueError):
         make_gf([1], [2, 1])
     assert make_gf([], [5, 3]) == GF_ZERO
+    for den in ([0, 1], [-2], [0, 0, -3]):  # a zero numerator reduces whatever den(0) is
+        assert make_gf([], den) == GF_ZERO
 
 
 _POLYS = st.lists(st.integers(-40, 40), min_size=1, max_size=6).filter(lambda p: p[-1] != 0)

@@ -122,6 +122,8 @@ GOLDEN = [
         + "bratteli count: error: argument --k: must be nonnegative\n", 2),
     (["gf", "--k", "2", "--i", "3"],
      EMPTY, "error: need 0 <= i <= k, got i=3, k=2\n", 2),
+    (["gf", "--k", "30000", "--i", "0"],
+     EMPTY, "error: gf for k=30000 needs 450060002 products, budget is 3000000\n", 2),
     (["residues", "--k", "5", "--i", "0", "--bits", "1000000"],
      EMPTY, "error: residues for k=5 need 1000000 bits, budget is 65536\n", 2),
     (["rate", "--k", "5", "--digits", "10000000"],
