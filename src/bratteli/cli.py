@@ -26,6 +26,7 @@ from .diagram import (
     admit_rows,
     admit_table,
     build_table,
+    count_bits,
     count_dp,
     dp_columns,
     is_vertex,
@@ -114,8 +115,11 @@ BACKENDS = {
 
 
 def count_via(backend: str, k: int, i: int, j: int) -> int:
-    """One path count by the named backend, at level min(k, j); an error names the k asked for."""
+    """One path count by the named backend, at level min(k, j); an error names the k asked for.
+    An answer that could exceed 4 * MAX_ENTRIES bits is refused before any backend runs."""
     _check_nonneg(k=k, i=i, j=j)
+    # str() of 4 * 10**6 bits alone takes about 23 s on Python 3.11, where it is quadratic
+    _check_budget(f"count for k={k}, j={j} needs up to", count_bits(k, j), "bits", 4)
     return BACKENDS[backend].count(k, i, j)
 
 
@@ -145,8 +149,9 @@ def _cmd_count(args) -> int:
 
 def _fill(table: CountTable, head: str, field, tail: str) -> str:
     # head, field(i, j) at every vertex in (j, i) order and tail, as one printf template applied
-    # once to the counts: % writes each int's digits straight into the text.  The fields are
-    # joined 4096 at a time, so no str per vertex is kept; no field is empty, so "" ends them
+    # once to the counts: %s writes each count's digits straight into the text, the same for int
+    # and Decimal counts (%d would turn each Decimal back into an int).  The fields are joined
+    # 4096 at a time, so no str per vertex is kept; no field is empty, so "" ends them
     k = table.k
     fields = (field(i, j) for j in range(table.jmax + 1) for i in vertex_heights(k, j))
     chunks = iter(lambda: "".join(islice(fields, 4096)), "")
@@ -156,14 +161,14 @@ def _fill(table: CountTable, head: str, field, tail: str) -> str:
 
 
 def table_to_csv(table: CountTable) -> str:
-    return _fill(table, "j,i,count\n", "{1},{0},%d\n".format, "")
+    return _fill(table, "j,i,count\n", "{1},{0},%s\n".format, "")
 
 
 def table_to_json(table: CountTable) -> str:
     # json.dumps's layout: counts are digit strings, so nothing needs escaping, and (0, 0) is
     # the only vertex without a separator before it
     return _fill(table, f'{{"k": {table.k}, "jmax": {table.jmax}, "entries": [',
-                 lambda i, j: f'{", " if j else ""}{{"i": {i}, "j": {j}, "count": "%d"}}', "]}\n")
+                 lambda i, j: f'{", " if j else ""}{{"i": {i}, "j": {j}, "count": "%s"}}', "]}\n")
 
 
 def table_to_pretty(table: CountTable) -> str:
@@ -182,19 +187,30 @@ def table_to_pretty(table: CountTable) -> str:
     # count ends cell i, and each later one is padded over a blank cell and two separators
     rows = range(min(table.k, table.jmax), -1, -1)
     template = [f"{i:>3} | \n" for i in range(table.k, table.jmax, -1)]  # no path climbs above jmax
-    template += (f"{i:>3} | %{i * (width + 1) + width}d"
-                 + f"%{2 * width + 2}d" * ((table.jmax - i) // 2) + "\n" for i in rows)
+    template += (f"{i:>3} | %{i * (width + 1) + width}s"
+                 + f"%{2 * width + 2}s" * ((table.jmax - i) // 2) + "\n" for i in rows)
     template.append("----+-" + "-" * ((width + 1) * (table.jmax + 1) - 1) + "\n")
     template.append("  j | " + " ".join(str(j).rjust(width) for j in range(table.jmax + 1)) + "\n")
     return "".join(template) % tuple(col[i] for i in rows for col in table.columns[i::2])
 
 
+def _decimal_table(k: int, jmax: int) -> CountTable:
+    # build_table over exact Decimal counts: libmpdec's str() is linear in the digits, int's is
+    # quadratic on Python 3.11.  The context holds any count and traps Inexact, so a rounding
+    # raises instead of printing wrong digits; the caller's own context is left as it was
+    import decimal
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        return build_table(k, jmax, decimal.Decimal(1))
+
+
 def _cmd_table(args) -> int:
     to_text = {"csv": table_to_csv, "json": table_to_json, "pretty": table_to_pretty}[args.format]
-    text = to_text(build_table(args.k, args.jmax))
-    # in 1 MiB slices: one write of the whole text would encode a second full copy
-    for start in range(0, len(text), 1 << 20):
-        sys.stdout.write(text[start:start + (1 << 20)])
+    text = to_text(_decimal_table(args.k, args.jmax))
+    # in 64 KiB pieces, below glibc's 128 KiB mmap threshold: a larger slice, and its encoded
+    # copy, is mapped fresh and faulted in again on every write
+    for start in range(0, len(text), 1 << 16):
+        sys.stdout.write(text[start:start + (1 << 16)])
     return 0
 
 

@@ -9,8 +9,8 @@ height k and end at height i.
 
 Two independent backends live here: a column-by-column dynamic program and
 binary powering of the path-graph adjacency matrix, folded onto a 2(k+2)-cycle.
-Counts are exact Python integers; they reach 2**(j-1) so machine words and
-floats are never used.
+Counts are exact Python integers, or a table's sums of another exact unit;
+they reach 2**(j-1) so machine words and floats are never used.
 """
 
 import math
@@ -49,16 +49,19 @@ def vertex_heights(k: int, j: int) -> range:
     return range(j % 2, min(k, j) + 1, 2)
 
 
-def dp_columns(k: int, jmax: int):
+def dp_columns(k: int, jmax: int, one=1):
     """Yield the DP column of every length j = 0..jmax, heights 0..min(k, jmax).
 
-    Entry i of column j counts the paths from (0, 0) to (i, j).  No path of
-    jmax steps climbs above height jmax, so the cost does not grow with an
-    unused bound k.  Each column is a fresh list.
+    Entry i of column j counts the paths from (0, 0) to (i, j), as a sum of
+    the unit ``one``: an int by default, or any exact number type, such as a
+    decimal.Decimal in a context that cannot round.  Entries no path reaches
+    stay the int 0, which costs no object of its own.  No path of jmax steps
+    climbs above height jmax, so the cost does not grow with an unused bound
+    k.  Each column is a fresh list.
     """
     _check_nonneg(k=k, jmax=jmax)
     top = min(k, jmax)
-    col = [1] + [0] * top
+    col = [one] + [0] * top
     yield col
     for _ in range(jmax):
         # the border heights have one neighbour each; k = 0 has no arcs at all
@@ -88,8 +91,10 @@ class CountTable:
 
     ``columns[j]`` is the column that dp_columns(k, jmax) yields for length
     j: entry i counts the paths to (i, j), and is 0 unless (i, j) is a
-    vertex.  ``entries`` maps (i, j) to the count of every vertex, built on
-    first use.  Treat instances as immutable once built.
+    vertex.  The columns hold exact counts of one number type, the type of
+    dp_columns' unit (int unless the caller asks for another), and the int 0
+    where no path reaches.  ``entries`` maps (i, j) to the count of every
+    vertex, built on first use.  Treat instances as immutable once built.
     """
 
     def __init__(self, k: int, jmax: int, columns: list):
@@ -121,25 +126,33 @@ def _check_budget(what: str, need: int, unit: str, per_entry: int = 1) -> None:
         raise TableBudgetError(f"{what} {need} {unit}, budget is {MAX_ENTRIES * per_entry}")
 
 
+def count_bits(k: int, j: int) -> int:
+    """Bits enough for every count of length j, computing none: 1 at level L = min(k, j) < 2,
+    else min(j, ceil(j log2 lam) + 1), where lam = 2 cos(pi/(L+2)) is the spectral radius."""
+    level = min(k, j)
+    if level < 2:  # the counts are 0 and 1, but lam = 2 cos(pi/3) reads 1 + 2**-52 in floats
+        return 1
+    # every count is at most lam**j: floor(j log2 lam) + 1 bits, which the ceiling still bounds
+    # when the float log2 is low by less than 1.  The ceiling is taken exactly, in integers, so
+    # a j too large for a float is measured too
+    num, den = math.log2(2 * math.cos(math.pi / (level + 2))).as_integer_ratio()
+    return min(j, -(-j * num // den) + 1)
+
+
 def admit_table(k: int, jmax: int) -> int:
     """table_size(k, jmax), once build_table(k, jmax) is admitted: TableBudgetError if the table
     would hold more than MAX_ENTRIES vertices, or counts of more than MAX_ENTRIES * 4096 bits."""
     _check_nonneg(k=k, jmax=jmax)
     need, what = table_size(k, jmax), f"table for k={k}, jmax={jmax} needs"
     _check_budget(what, need, "entries")
-    # every count is at most lam**jmax, where lam = 2 cos(pi/(k+2)) is the spectral radius at
-    # level min(k, jmax): floor(jmax log2 lam) + 1 bits, which the ceiling still bounds when the
-    # float log2 is low by less than 1
-    lam = 2 * math.cos(math.pi / (min(k, jmax) + 2))
-    bits = min(jmax, math.ceil(jmax * math.log2(lam)) + 1)
-    _check_budget(f"{what} up to", need * bits, "bits of counts", 4096)
+    _check_budget(f"{what} up to", need * count_bits(k, jmax), "bits of counts", 4096)
     return need
 
 
-def build_table(k: int, jmax: int) -> CountTable:
-    """Every count with j <= jmax, as dp_columns(k, jmax), once admit_table(k, jmax) admits it."""
+def build_table(k: int, jmax: int, one=1) -> CountTable:
+    """Every count with j <= jmax, as dp_columns(k, jmax, one), once admit_table admits them."""
     admit_table(k, jmax)
-    return CountTable(k, jmax, list(dp_columns(k, jmax)))
+    return CountTable(k, jmax, list(dp_columns(k, jmax, one)))
 
 
 def _one_step(c: list) -> list:

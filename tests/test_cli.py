@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -121,9 +122,9 @@ def test_count_via_clamps_k_to_j(monkeypatch, backend, j):
             assert level <= j, f"{backend}: {inner} asked at level {level} for {j} steps"
             return real(level, *rest)
 
-        def guarded_columns(k, jmax):
+        def guarded_columns(k, jmax, *rest):
             # dp_columns takes the unclamped k and clamps its band itself
-            for col in real(k, jmax):
+            for col in real(k, jmax, *rest):
                 assert len(col) <= j + 1, f"dp: a column of {len(col)} heights for {j} steps"
                 yield col
 
@@ -408,15 +409,43 @@ def test_table_pretty_matches_vertex_lookup(k, jmax):
 @pytest.mark.parametrize("write, bound", [(cli.table_to_csv, 1.6), (cli.table_to_json, 1.6),
                                           (cli.table_to_pretty, 1.3)], ids=["csv", "json", "pretty"])
 def test_table_writers_hold_one_copy_of_their_text(write, bound):
-    # the template, the tuple of counts and the text, but no str of every count besides
+    # the template, the tuple of counts and the text, but no str of every count besides; for
+    # int columns and for the table command's Decimal ones alike
     import tracemalloc
-    table = build_table(60, 600)
-    tracemalloc.start()
-    try:
-        text = write(table)
-        assert tracemalloc.get_traced_memory()[1] < bound * len(text)
-    finally:
-        tracemalloc.stop()
+    for table in (build_table(60, 600), cli._decimal_table(60, 600)):
+        tracemalloc.start()
+        try:
+            text = write(table)
+            assert tracemalloc.get_traced_memory()[1] < bound * len(text)
+        finally:
+            tracemalloc.stop()
+
+
+def test_table_digits_are_exact_under_any_caller_context():
+    # a caller's 5-digit context would round every count past 99999; the table builds its
+    # Decimal columns in a context of its own and leaves the caller's as it was
+    import decimal
+    with decimal.localcontext() as caller:
+        caller.prec = 5
+        code, out, err = run(["table", "--k", "60", "--jmax", "300"])
+        assert decimal.getcontext().prec == 5
+    assert (code, err) == (0, "")
+    exact = out == cli.table_to_csv(build_table(60, 300))  # a failing == of the texts diffs slowly
+    assert exact
+    columns = cli._decimal_table(60, 300).columns
+    assert {type(count) for col in columns for count in col} == {decimal.Decimal, int}
+    assert columns == build_table(60, 300).columns
+
+
+def test_table_is_written_in_pieces_of_64_kib(monkeypatch):
+    # a write below glibc's 128 KiB mmap threshold reuses the heap instead of mapping anew
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert cli.main(["table", "--k", "60", "--jmax", "300", "--format", "pretty"]) == 0
+    text = cli.table_to_pretty(build_table(60, 300))
+    assert len(text) > 1 << 17 and max(map(len, writes)) <= 1 << 16
+    joined = "".join(writes) == text  # a failing == of the texts diffs slowly
+    assert joined
 
 
 def test_table_writers_leave_the_vertex_mapping_unbuilt():

@@ -8,6 +8,7 @@ from bratteli.diagram import (
     adjacency_power_row,
     adjacency_power_rows,
     build_table,
+    count_bits,
     count_dp,
     dp_columns,
     is_vertex,
@@ -115,6 +116,18 @@ def test_table_size_and_budget(monkeypatch):
             want += len(vertex_heights(k, jmax))
             assert table_size(k, jmax) == want, (k, jmax)
     assert table_size(2, 10**7) == 15000001
+
+
+def test_count_bits_bound_every_count():
+    for k in range(14):
+        for j, col in enumerate(dp_columns(k, 300)):
+            assert count_bits(k, j) >= max(col).bit_length(), (k, j)
+    # the bound is tight to a bit or two: 2**j at level 2 is reached at odd lengths
+    assert count_bits(2, 301) == max(map(max, dp_columns(2, 301))).bit_length() + 1 == 152
+    # levels 0 and 1 count 0 or 1 paths, however long; the exact ceiling takes a j past floats
+    assert count_bits(1, 10**4000) == count_bits(0, 10**4000) == count_bits(10**6, 0) == 1
+    assert 10**400 // 2 < count_bits(2, 10**400) < 10**400 // 2 + 10**390
+    assert count_bits(2, 3_000_000) <= 4 * diagram.MAX_ENTRIES  # count --backend gf admits it
 
 
 def test_matrix_power_matches_dp():

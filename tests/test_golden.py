@@ -48,6 +48,12 @@ GOLDEN = [
      "720591bb95eb158485ddb9dfb23091626632d4a9e7322585a11b16f374b04710", "backend: matrix\n", 0),
     (["count", "--k", "2", "--i", "0", "--j", "8", "--backend", "auto", "--paranoid", "--verbose"],
      "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8", "backend: dyck\n", 0),
+    # an answer of about 5 * 10**10 bits is refused before any backend runs
+    (["count", "--k", "2", "--i", "0", "--j", "100000000000"],
+     EMPTY, (
+        "error: count for k=2, j=100000000000 needs up to 50000000002 bits,"
+        " budget is 4000000\n"
+    ), 2),
     (["count", "--k", "2", "--i", "0", "--j", "30", "--backend", "dyck"],
      EMPTY, "error: j=30 exceeds the enumeration cap of 26 steps\n", 2),
     (["count", "--k", "100000", "--i", "0", "--j", "66000", "--backend", "spectral"],
