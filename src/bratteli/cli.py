@@ -118,6 +118,8 @@ def count_via(backend: str, k: int, i: int, j: int) -> int:
     """One path count by the named backend, at level min(k, j); an error names the k asked for.
     An answer that could exceed 4 * MAX_ENTRIES bits is refused before any backend runs."""
     _check_nonneg(k=k, i=i, j=j)
+    if min(k, j) < 2:  # no backend runs: level 1 reaches each vertex once, level 0 only (0, 0)
+        return int(is_vertex(min(k, j), i, j) and (k > 0 or j == 0))
     # str() of 4 * 10**6 bits alone takes about 23 s on Python 3.11, where it is quadratic
     _check_budget(f"count for k={k}, j={j} needs up to", count_bits(k, j), "bits", 4)
     return BACKENDS[backend].count(k, i, j)
@@ -180,8 +182,9 @@ def table_to_pretty(table: CountTable) -> str:
     """
     what = f"pretty table for k={table.k}, jmax={table.jmax} needs"
     _check_budget(what, (table.k + 1) * (table.jmax + 1), "cells")
-    # counts are nonnegative, so the largest is the widest
-    width = max(len(str(max(map(max, table.columns)))), len(str(table.jmax)))
+    # D(i, j) <= D(i, j + 2) for k >= 1, so the last two columns hold the widest count; at k = 0
+    # the width is 1 either way
+    width = max(len(str(max(map(max, table.columns[-2:])))), len(str(table.jmax)))
     _check_budget(what, (table.k + 1) * (table.jmax + 1) * (width + 1), "bytes", 128)
     # one template over the counts: height i has vertices at lengths i, i + 2, ...; its first
     # count ends cell i, and each later one is padded over a blank cell and two separators
@@ -313,20 +316,20 @@ def compare_backends(k: int, sweeps: list) -> list:
 # the estimated work, in units of about 1 us of serial sweeping, from which verify's levels run
 # in a process pool: below it, the pool's fixed cost (importing concurrent.futures.process,
 # starting the workers, collecting their results: about 50 ms) outweighs a second worker's gain.
-# Whole processes on 2 vCPUs, median of 11 alternating pairs, serial against pooled: (kmax, jmax)
-# = (20, 200), 3.0e5 units, 0.41 against 0.48 s; (22, 220), 4.3e5, 0.63 against 0.44 s.  dyck's
-# frontier enumerates a path in 4.5-7 ns at levels 19-26 (3 ns at levels 0-8), so 150 paths are
-# one unit.  Medians of 9 pairs: dp,dyck at (26, 22), 1.9e5 units, 0.26-0.28 against 0.24-0.35 s
-# over three rounds; (26, 23), 3.6e5, 0.40-0.46 against 0.34-0.51 s; (26, 24), 7.0e5, 0.76
-# against 0.46 s; all five backends at (8, 20), 9.6e3, 0.09 against 0.13 s.  The crossover moves
-# with the shared machine's load, by about 2x either way
+# Whole processes on 2 vCPUs, medians of 11 alternating pairs in two rounds, serial against
+# pooled: (kmax, jmax) = (20, 200), 3.0e5 units, 0.28-0.32 against 0.25-0.26 s; (22, 220), 4.3e5,
+# 0.43-0.44 against 0.32-0.36 s.  dyck's frontier enumerates a path in 4.5-7 ns at levels 19-26
+# (3 ns at levels 0-8), so 150 paths are one unit.  Medians of 9 pairs: dp,dyck at (26, 22),
+# 1.9e5 units, 0.26-0.28 against 0.24-0.35 s over three rounds; (26, 23), 3.6e5, 0.40-0.46
+# against 0.34-0.51 s; (26, 24), 7.0e5, 0.76 against 0.46 s; all five backends at (8, 20), 9.6e3,
+# 0.09 against 0.13 s.  The crossover moves with the shared machine's load, by about 2x either way
 POOL_MIN_WORK = 300_000
 
 
 def _verify_workers(jobs: int, sizes: list, jmax: int, backends: tuple) -> int:
     """How many processes, at most jobs, sweep levels 0..len(sizes) - 1 up to jmax: one unless
     the estimated work reaches POOL_MIN_WORK.  Each of level k's sizes[k] vertices costs k units,
-    as the spectral, matrix and gf sweeps' work per vertex grows with the level, and 150 nodes
+    as the spectral and gf sweeps' work per vertex grows with the level, and 150 nodes
     of dyck's enumeration, which visits every path of every length up to jmax, cost one."""
     if jobs < 2 or len(sizes) < 2:
         return 1

@@ -15,6 +15,7 @@ they reach 2**(j-1) so machine words and floats are never used.
 
 import math
 from functools import cached_property
+from itertools import accumulate
 from operator import add, mul
 
 
@@ -185,28 +186,23 @@ def adjacency_power_row(k: int, j: int) -> list:
 
 
 def admit_rows(k: int, jmax: int) -> None:
-    """Raise adjacency_power_rows(k, jmax)'s TableBudgetError, if any, computing nothing: its
-    powers m <= jmax // 2 have 2(L+2) entries of m + 1 bits or fewer, L = min(k, jmax)."""
+    """Raise adjacency_power_rows(k, jmax)'s TableBudgetError, if any, computing nothing: it
+    charges 2(L+2) entries of m + 1 bits for each m <= jmax // 2, L = min(k, jmax).  This bounds
+    work, not memory: the folded entries grow as 2**j at every level, so the sweep adds about
+    (L+2) * jmax**2 bits, some 4x the charge.  In process, best of 5 on 2 vCPUs: (0, 90000),
+    near the edge, 0.43 s; (1, 60000) 0.31 s; (60, 4000) 0.10 s."""
     _check_nonneg(k=k, jmax=jmax)
     _check_budget(f"matrix sweep for k={k}, jmax={jmax} needs up to",
                   (min(k, jmax) + 2) * (jmax // 2 + 1) * (jmax // 2 + 2), "bits of powers", 4096)
 
 
 def adjacency_power_rows(k: int, jmax: int) -> list:
-    """adjacency_power_row(min(k, jmax), j) for j = 0..jmax, each power one step from power j // 2.
+    """adjacency_power_row(min(k, jmax), j) for j = 0..jmax, each power one step from the last.
 
-    Binary powering from the high bit passes through power j // 2 last, so the rows are equal.
-    Power m is squared once, into power 2m, and power 2m + 1 is that square times x + 1/x: the
-    jmax // 2 squarings make every row.  Only powers m <= jmax // 2 are kept, and
-    admit_rows(k, jmax) admits them first.
+    Power j is power j - 1 times x + 1/x on the folded cycle, so only one power is held, and
+    admit_rows(k, jmax) admits the sweep first.
     """
     admit_rows(k, jmax)
     level = min(k, jmax)  # no path of jmax steps climbs higher
-    c, powers, rows = [1] + [0] * (2 * level + 3), [], []
-    for j in range(jmax + 1):
-        if j:
-            c = _one_step(c) if j & 1 else _power_step(powers[j // 2], 0)
-        if j <= jmax // 2:
-            powers.append(c)
-        rows.append([c[i] - c[-i - 2] for i in range(level + 1)])
-    return rows
+    powers = accumulate(range(jmax), lambda c, _: _one_step(c), initial=[1] + [0] * (2 * level + 3))
+    return [[c[i] - c[-i - 2] for i in range(level + 1)] for c in powers]

@@ -145,6 +145,24 @@ def test_count_via_clamps_k_to_j(monkeypatch, backend, j):
     assert run(argv)[0] == 0
 
 
+@pytest.mark.parametrize("backend", list(cli.BACKENDS))
+def test_count_via_answers_levels_0_and_1_without_a_backend(monkeypatch, backend):
+    # every count at levels 0 and 1 is 0 or 1, however long the path: no backend runs, so a j
+    # past dyck's cap, spectral's precision or any column's budget is answered at once
+    def refuse(*args):
+        raise AssertionError(f"{backend} ran at level 0 or 1")
+
+    for module, inner in LEVEL_CALLS[backend]:
+        monkeypatch.setattr(module, inner, refuse)
+    assert cli.count_via(backend, 1, 0, 10**11) == 1
+    assert cli.count_via(backend, 1, 1, 10**11 + 1) == 1
+    assert cli.count_via(backend, 1, 1, 10**11) == 0  # wrong parity
+    assert cli.count_via(backend, 0, 0, 10**11) == 0  # level 0 has no arcs
+    assert cli.count_via(backend, 0, 0, 0) == cli.count_via(backend, 10**6, 0, 0) == 1
+    assert cli.count_via(backend, 10**6, 1, 1) == 1
+    assert cli.count_via(backend, 10**6, 0, 1) == cli.count_via(backend, 10**6, 2, 1) == 0
+
+
 @pytest.mark.parametrize(
     "module, inner, count",
     [(cli, "adjacency_power_row", partial(cli.count_via, "matrix")),

@@ -141,7 +141,7 @@ def test_matrix_power_matches_dp():
             for i in range(k + 1):
                 assert count_matrix(k, i, j) == count_dp(k, i, j), (k, i, j)
     # the fold itself: k = 0, both parities, j < k (zeros above height j) and powers
-    # that wrap around the 2(k+2)-cycle; verify's rows square each power from power j // 2
+    # that wrap around the 2(k+2)-cycle; verify's rows step each power from the one before
     for k in range(0, 25):
         rows = adjacency_power_rows(k, 80)
         assert len(rows) == 81
@@ -151,20 +151,21 @@ def test_matrix_power_matches_dp():
 
 def test_matrix_rows_keep_only_the_powers_squared_again(monkeypatch):
     import tracemalloc
-    # powers 0..2000 of 6 entries, each of at most m + 1 bits, hold about 1.5 MB; keeping all
-    # 4001 powers peaked at 3.8 MB
+    # one power of 6 entries of at most 4000 bits is held at a time, 0.4 MB at peak with the
+    # rows; keeping powers 0..2000 peaked at 1.4 MB, and all 4001 powers at 3.8 MB
     tracemalloc.start()
     rows = adjacency_power_rows(1, 4000)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 2_500_000
+    assert peak < 1_000_000
     assert rows[3999] == adjacency_power_row(1, 3999) and rows[4000] == adjacency_power_row(1, 4000)
 
-    def no_power(c, bit):
+    def no_power(c, *bit):
         raise AssertionError("a power was built past the budget")
 
-    # 10**6 kept powers of up to 10**6 bits: refused before the first
+    # about 8 * 10**12 bits of additions over 2 * 10**6 steps: refused before the first
     monkeypatch.setattr(diagram, "_power_step", no_power)
+    monkeypatch.setattr(diagram, "_one_step", no_power)
     with pytest.raises(TableBudgetError) as refused:
         adjacency_power_rows(0, 1999998)
     assert str(refused.value) == ("matrix sweep for k=0, jmax=1999998 needs up to 2000002000000"
@@ -183,7 +184,7 @@ def test_matrix_rows_square_each_kept_power_once(monkeypatch):
     for k, jmax in ((0, 0), (0, 1), (3, 7), (5, 40), (8, 61), (12, 200)):
         squarings.clear()
         rows = adjacency_power_rows(k, jmax)
-        assert len(squarings) <= jmax // 2, (k, jmax)
+        assert squarings == [], (k, jmax)  # each power is one step from the last, never a square
         assert rows[-1] == adjacency_power_row(k, jmax), (k, jmax)
 
 

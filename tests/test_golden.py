@@ -48,6 +48,9 @@ GOLDEN = [
      "720591bb95eb158485ddb9dfb23091626632d4a9e7322585a11b16f374b04710", "backend: matrix\n", 0),
     (["count", "--k", "2", "--i", "0", "--j", "8", "--backend", "auto", "--paranoid", "--verbose"],
      "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8", "backend: dyck\n", 0),
+    # levels 0 and 1 count 0 or 1 paths, answered without running a backend
+    (["count", "--k", "1", "--i", "0", "--j", "100000000000"],
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865", "", 0),
     # an answer of about 5 * 10**10 bits is refused before any backend runs
     (["count", "--k", "2", "--i", "0", "--j", "100000000000"],
      EMPTY, (
