@@ -96,6 +96,11 @@ def _admit_dyck(k: int, jmax: int) -> None:
         raise ValueError(f"the dyck backend enumerates at most {MAX_LENGTH} steps; lower --jmax")
 
 
+def _sweep_dyck(k: int, jmax: int) -> list:
+    _admit_dyck(k, jmax)
+    return endpoint_tallies(k, jmax)
+
+
 # name -> Backend(count(k, i, j), sweep(k, jmax), admit(k, jmax)).  count runs at level min(k, j)
 # and sweep at min(k, jmax), since no path of j steps climbs higher: sweep[j][i] counts the paths
 # to (i, j), j <= jmax, in columns of at most min(k, jmax) + 1 entries.  admit raises sweep's
@@ -105,8 +110,7 @@ Backend = namedtuple("Backend", "count sweep admit")
 BACKENDS = {
     "dp": Backend(lambda k, i, j: count_dp(k, i, j),
                   lambda k, jmax: build_table(k, jmax).columns, admit_table),
-    "dyck": Backend(lambda k, i, j: enumerate_count(k, i, j),
-                    lambda k, jmax: endpoint_tallies(k, jmax), _admit_dyck),
+    "dyck": Backend(lambda k, i, j: enumerate_count(k, i, j), _sweep_dyck, _admit_dyck),
     "gf": Backend(_count_gf, _sweep_gf, admit_table),
     "spectral": Backend(lambda k, i, j: count_spectral(k, i, j),
                         lambda k, jmax: spectral_columns(k, jmax), admit_columns),
@@ -313,17 +317,15 @@ def compare_backends(k: int, sweeps: list) -> list:
     return out
 
 
-# the estimated work, in units of about 1 us of serial sweeping, from which verify's levels run
-# in a process pool: below it, the pool's fixed cost (importing concurrent.futures.process,
-# starting the workers, collecting their results: about 50 ms) outweighs a second worker's gain.
-# Whole processes on 2 vCPUs, medians of 11 alternating pairs in two rounds, serial against
-# pooled: (kmax, jmax) = (20, 200), 3.0e5 units, 0.28-0.32 against 0.25-0.26 s; (22, 220), 4.3e5,
-# 0.43-0.44 against 0.32-0.36 s.  dyck's frontier enumerates a path in 4.5-7 ns at levels 19-26
-# (3 ns at levels 0-8), so 150 paths are one unit.  Medians of 9 pairs: dp,dyck at (26, 22),
-# 1.9e5 units, 0.26-0.28 against 0.24-0.35 s over three rounds; (26, 23), 3.6e5, 0.40-0.46
-# against 0.34-0.51 s; (26, 24), 7.0e5, 0.76 against 0.46 s; all five backends at (8, 20), 9.6e3,
-# 0.09 against 0.13 s.  The crossover moves with the shared machine's load, by about 2x either way
-POOL_MIN_WORK = 300_000
+# the estimated work, in units of about 1 us of serial sweeping, from which verify's levels run in
+# a process pool: below it, the pool's fixed cost (importing concurrent.futures.process, starting
+# the workers, collecting their results: about 50 ms) outweighs a second worker's gain.  dyck's
+# frontier enumerates a path in 4.5-7 ns at levels 19-26, so 150 paths are one unit.  Whole
+# processes on 2 vCPUs, medians of 11 and of 21 alternating pairs, serial against pooled: (kmax,
+# jmax) = (20, 200), 298,595 units, 0.29 and 0.23 s against 0.24 and 0.23 s; dp,dyck at (26, 22),
+# 187,231 units, 0.24 and 0.23 s against 0.23 and 0.22 s; (22, 220), 431,398 units, 0.37 and 0.29
+# s against 0.31 and 0.28 s.  Near the crossover the two are within the shared machine's noise
+POOL_MIN_WORK = 250_000
 
 
 def _verify_workers(jobs: int, sizes: list, jmax: int, backends: tuple) -> int:
@@ -331,8 +333,6 @@ def _verify_workers(jobs: int, sizes: list, jmax: int, backends: tuple) -> int:
     the estimated work reaches POOL_MIN_WORK.  Each of level k's sizes[k] vertices costs k units,
     as the spectral and gf sweeps' work per vertex grows with the level, and 150 nodes
     of dyck's enumeration, which visits every path of every length up to jmax, cost one."""
-    if jobs < 2 or len(sizes) < 2:
-        return 1
     work = sum(k * size for k, size in enumerate(sizes))
     if "dyck" in backends:  # the paths are the sum of the level's dp columns, few at jmax <= 26
         work += sum(sum(map(sum, dp_columns(k, jmax))) for k in range(len(sizes))) // 150

@@ -11,22 +11,20 @@ times 2/(k+2), rewritten by U_m(cos t) = sin((m+1) t) / sin t.  When i + j is
 even the terms of r and k+2-r are equal, so the sum is taken over the
 r < (k+2)/2 half and doubled.
 
-Counts are evaluated in Python integers at a scale 2**F, from one table of
-sines and poles each within one unit, ``_angles``: one evaluator, for
-``count_spectral``'s vertex and the columns of verify's sweep
-``spectral_columns``, forms each count as one integer dot product within 1/32
-of it by an a priori bound, so its nearest integer is certified.  mpmath, imported
-at first use, serves ``residue_decomposition``, ``growth_rate`` and ``empirical_rate``.
+Counts are evaluated in Python integers at a scale 2**F that ``diagram.count_bits`` sets, from one
+table of sines and poles each within one unit, ``_angles``: one evaluator, for ``count_spectral``'s
+vertex and the columns of verify's sweep ``spectral_columns``, forms each count as one integer dot
+product within 1/32 of it by an a priori bound, so its nearest integer is certified.  mpmath,
+imported at first use, serves ``residue_decomposition``, ``growth_rate`` and ``empirical_rate``.
 """
 
-from bisect import bisect_right
 from collections import deque, namedtuple
 from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .diagram import (_check_budget, _check_height, _check_nonneg, dp_columns, is_vertex,
-                      vertex_heights)
+from .diagram import (_check_budget, _check_height, _check_nonneg, count_bits, dp_columns,
+                      is_vertex, vertex_heights)
 
 MAX_BITS = 1 << 16  # count_spectral refuses a length that needs more precision
 
@@ -143,25 +141,30 @@ def _angles(level: int, bits: int) -> tuple:
     return tuple(sines), tuple(poles[1:])
 
 
-def _bits(j: int) -> int:
-    # Counts of length j <= J at level <= J are evaluated at scale 2**F, F = _bits(J).  In units of
-    # 2**-F, over h <= (J+1)/2 poles, the exact dot product doubled is within 2**(j+1-F) (5h/2 (1 +
-    # j 2**-F) + j) < 2**(J+1-F) 3 (J+1) of the count, below 3/128 from F = J + bit_length(J) + 8
-    # on (rounded up to a multiple of 64, to share tables), since:
-    # - _angles gives every sine and pole within 1, and |lambda_r| <= 2;
-    # - a weight 2 S_r S_m / (n 2**F), floored, is within 1 + (4 + 2**(1-F))/n < 5/2 as n >= 3,
-    #   and sum |w_r| <= 2h/n < 1;
-    # - a product of powers within E_a and E_b, truncated, is within 2**a E_b + 2**b E_a +
-    #   E_a E_b 2**-F + 1: binary powering and column steps keep lambda**m within (2m-1) 2**(m-1).
-    return -(-(j + j.bit_length() + 8) // 64) * 64
+def _bits(k: int, j: int) -> int:
+    # Counts of length j <= J at level L = min(k, J) are evaluated at scale 2**F, F = _bits(k, J):
+    # count_bits(k, J) + bit_length(J) + 8, rounded up to a multiple of 64 to share tables.  With
+    # lam = 2 cos(pi/(L+2)) and lam' = lam + 2**-F, in units of 2**-F over h <= (J+1)/2 poles, the
+    # exact dot product doubled is within 2**(1-F) lam'**j (5h/2 (1 + 3j/2 2**-F) + 3j/2) <
+    # 2**(1-F) lam'**J 3 (J+1) of the count, below 3/128 (1 + 2**-8) < 1/32, since:
+    # - _angles gives every sine and pole within 1, and a weight 2 S_r S_m / (n 2**F), floored, is
+    #   within 1 + (4 + 2**(1-F))/n < 5/2 as n >= 3, with sum |w_r| <= 2h/n < 1;
+    # - powers within E_a and E_b give a product, truncated, within lam**a E_b + lam**b E_a +
+    #   E_a E_b 2**-F + 1 <= (2m-1) lam'**(m-1) < 3m/2 lam'**m, m = a + b, if E_a and E_b are so
+    #   bounded: at L >= 2, lam' > sqrt(2) and 2**F > 4 J**2 (count_bits >= J/2) put E_a E_b 2**-F
+    #   below (lam'-1) lam'**(m-2) <= lam'**(m-1) - 1.  Level 1's one pole, 1, is exact, as _angles
+    #   rounds an integer from within 1/2, and level 0 has none;
+    # - lam'**J < 2**count_bits (1 + 2**-8), as count_bits > J log2 lam and J 2**-F < 2**-9, or,
+    #   where count_bits is clipped to J, as lam' <= 2 from 2 - lam >= 4/(L+2)**2 >= 2**-F.
+    return -(-(count_bits(k, j) + j.bit_length() + 8) // 64) * 64
 
 
-def _checked_bits(k: int, j: int, heights) -> int:
-    # _bits(j), or the refusal of column j's first vertex when that is past MAX_BITS
-    if heights and _bits(j) > MAX_BITS:
-        raise PrecisionExhaustedError(f"no stable integer for (k={k}, i={heights[0]}, j={j}) within"
+def _checked_bits(k: int, i: int, j: int) -> int:
+    # _bits(k, j), or the refusal of vertex (i, j) when that is past MAX_BITS
+    if _bits(k, j) > MAX_BITS:
+        raise PrecisionExhaustedError(f"no stable integer for (k={k}, i={i}, j={j}) within"
                                       f" {MAX_BITS} bits (last residual: never evaluated)")
-    return _bits(j)
+    return _bits(k, j)
 
 
 def _column(sines: tuple, bits: int, heights, powers, weights: dict) -> list:
@@ -176,15 +179,15 @@ def _column(sines: tuple, bits: int, heights, powers, weights: dict) -> list:
 def count_spectral(k: int, i: int, j: int) -> int:
     """Path count via the spectral power sum, evaluated once in integers and certified.
 
-    Runs at level min(k, j), since no path of j steps climbs higher, at scale 2**F with F
-    about j + log2(j) + 8, where an a priori bound keeps the error below 1/32; each pole is
-    raised to the j-th power by binary powering.  Lengths that need more than MAX_BITS
-    (j > 65512) raise PrecisionExhaustedError.  Unreachable targets count zero, as in count_dp.
+    Runs at level min(k, j), since no path of j steps climbs higher, at scale 2**F with F about
+    count_bits(k, j) + log2(j) + 8, where an a priori bound keeps the error below 1/32; each pole
+    is raised to the j-th power by binary powering.  F past MAX_BITS (j > 65512 from level 684 on,
+    later below) raises PrecisionExhaustedError.  Unreachable targets count zero, as in count_dp.
     """
     _check_nonneg(k=k, i=i, j=j)
     if j == 0 or not is_vertex(k, i, j):  # the empty path: the halved sum drops the pole 0
         return int(is_vertex(k, i, j))
-    bits, level = _checked_bits(k, j, (i,)), min(k, j)
+    bits, level = _checked_bits(k, i, j), min(k, j)
     sines, poles = _angles(level, bits)
     powers = poles[:(level + 1) // 2]  # to the j-th power by binary powering from the high bit
     for bit in bin(j)[3:]:
@@ -194,24 +197,20 @@ def count_spectral(k: int, i: int, j: int) -> int:
     return _column(sines, bits, (i,), powers, {})[0]
 
 
-def admit_columns(k: int, jmax: int) -> None:
-    """Raise spectral_columns(k, jmax)'s refusal, if any, evaluating nothing: _bits grows with j."""
+def admit_columns(k: int, jmax: int) -> int:
+    """spectral_columns(k, jmax)'s scale F, or its refusal at the last column's first vertex."""
     _check_nonneg(k=k, jmax=jmax)
-    first = bisect_right(range(jmax + 1), MAX_BITS, lo=1, key=_bits)
-    for j in range(first, min(first + 2, jmax + 1)):  # at level 0 an odd column is empty
-        _checked_bits(k, j, vertex_heights(k, j))
+    return _checked_bits(k, jmax % 2, jmax)
 
 
 def spectral_columns(k: int, jmax: int) -> list:
     """count_spectral(k, i, j) at every vertex with j <= jmax, in columns of heights 0..min(k, j).
 
-    Every column runs at level min(k, jmax) and scale _bits(jmax), column j's pole powers are
-    column j - 1's times the poles, each height's weights are computed once, and admit_columns
-    refuses a length past MAX_BITS before any column.
+    Every column runs at level min(k, jmax) and scale admit_columns(k, jmax), column j's pole
+    powers are column j - 1's times the poles, and each height's weights are computed once.
     """
-    admit_columns(k, jmax)
-    level, bits = min(k, jmax), _bits(jmax)
-    sines, poles = _angles(level, bits) if level else ((), ())  # level 0 has no pole to raise
+    bits, level = admit_columns(k, jmax), min(k, jmax)
+    sines, poles = _angles(level, bits)
     powers, weights, columns = [1 << bits] * ((level + 1) // 2), {}, []
     for j in range(jmax + 1):
         col = [0] * (min(k, j) + 1)

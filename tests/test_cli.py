@@ -665,7 +665,7 @@ def _levels(kmax, jmax):
     return [table_size(k, jmax) for k in range(min(kmax, jmax) + 1)]
 
 
-def test_verify_pools_only_work_that_pays_for_it():
+def test_verify_pools_only_work_that_pays_for_it(monkeypatch):
     # the estimate alone decides, from the admitted table sizes: no level is swept here
     default, five = ("dp", "matrix", "gf", "spectral"), ("dp", "matrix", "gf", "spectral", "dyck")
     workers = cli._verify_workers
@@ -676,8 +676,13 @@ def test_verify_pools_only_work_that_pays_for_it():
     # 3.1e4.  At (26, 22) the serial run is about as fast as the pool, at (26, 24) slower
     assert workers(2, _levels(26, 24), 24, ("dp", "dyck")) == 2
     assert workers(2, _levels(26, 22), 22, ("dp", "dyck")) == 1
+    # the default backends at (20, 200), 298,595 units, pool: there the pool was as fast or faster
+    assert workers(2, _levels(20, 200), 200, default) == 2
     assert workers(2, _levels(12, 60), 60, default) == 1
     assert workers(2, _levels(8, 20), 20, five) == 1
+    # one level, or one job, runs serially whatever the work
+    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
+    assert workers(2, _levels(0, 4), 4, default) == workers(1, _levels(2, 4), 4, default) == 1
 
 
 def test_verify_all_five_backends():
@@ -802,17 +807,18 @@ def test_verify_refuses_matrix_powers_before_any_level(monkeypatch, jobs):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_refuses_spectral_precision_before_any_level(monkeypatch, jobs):
-    # with 64 bits, level 0 first refuses column 52 (51 is empty), as count_spectral does
+    # with 64 bits, levels 0 and 1 are admitted at any length, and level 2 refuses its sweep at
+    # the last column's first vertex, as count_spectral does there
     monkeypatch.setattr(spectral, "MAX_BITS", 64)
     with pytest.raises(PrecisionExhaustedError) as single:
-        count_spectral(0, 0, 52)
+        count_spectral(2, 1, 121)
     _no_sweeps(monkeypatch)
     monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
-    assert run(["verify", "--kmax", "1", "--jmax", "60", "--jobs", jobs]) == (
+    assert run(["verify", "--kmax", "2", "--jmax", "121", "--jobs", jobs]) == (
         2, "", f"error: {single.value}\n")
 
 
-SPECTRAL_AT_0 = ("error: no stable integer for (k=0, i=0, j=65514) within 65536 bits"
+SPECTRAL_AT_2 = ("error: no stable integer for (k=2, i=0, j=65000) within 4096 bits"
                  " (last residual: never evaluated)\n")
 
 
@@ -825,13 +831,15 @@ SPECTRAL_AT_0 = ("error: no stable integer for (k=0, i=0, j=65514) within 65536 
      "error: table for k=2, jmax=400000 needs up to 120001400002 bits of counts,"
      " budget is 4096000000\n"),
     # then the listed backends in registry order, whatever the order of --backends
-    (["--kmax", "1", "--jmax", "100000", "--backends", "matrix,spectral"], "matrix", SPECTRAL_AT_0),
-    (["--kmax", "1", "--jmax", "100000", "--backends", "spectral,matrix"], "matrix", SPECTRAL_AT_0),
+    (["--kmax", "2", "--jmax", "65000", "--backends", "matrix,spectral"], "matrix", SPECTRAL_AT_2),
+    (["--kmax", "2", "--jmax", "65000", "--backends", "spectral,matrix"], "matrix", SPECTRAL_AT_2),
 ], ids=["table-dyck", "table-spectral", "matrix,spectral", "spectral,matrix"])
 def test_verify_refusal_precedence(monkeypatch, argv, loser, err, jobs):
-    # each argv trips two refusals: the one printed, and the loser's at level 0
+    # each argv trips two refusals: the one printed, and the loser's at level kmax.  Spectral
+    # runs under 4096 bits: at the real MAX_BITS a level-2 table refuses before its sweep would
+    monkeypatch.setattr(spectral, "MAX_BITS", 4096)
     with pytest.raises((ValueError, TableBudgetError, PrecisionExhaustedError)):
-        cli.BACKENDS[loser].admit(0, int(argv[3]))
+        cli.BACKENDS[loser].admit(int(argv[1]), int(argv[3]))
     _no_sweeps(monkeypatch)
     monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
     assert run(["verify", *argv, "--jobs", jobs]) == (2, "", err)
@@ -845,6 +853,39 @@ def test_verify_names_no_backend():
         source = inspect.getsource(func)
         for name in cli.BACKENDS:
             assert f'"{name}"' not in source and f"'{name}'" not in source, (func.__name__, name)
+
+
+# the call that does the work in each backend's sweep, after its admission: matrix's level call,
+# adjacency_power_rows, admits itself, so its first step stands in for it
+SWEEP_WORK = {
+    "dp": (diagram, "dp_columns"),
+    "matrix": (diagram, "_one_step"),
+    "dyck": (cli, "endpoint_tallies"),
+    "spectral": (spectral, "_angles"),
+    "gf": (cli, "gf_closed_form"),
+}
+
+
+@pytest.mark.parametrize("backend", list(cli.BACKENDS))
+def test_every_sweep_raises_its_admission(monkeypatch, backend):
+    # called directly at a shape its admit refuses, a sweep raises the same refusal before any
+    # work: that raises here, so a sweep that skips its admission fails at once
+    def refuse(*args):
+        raise AssertionError(f"{backend} swept past its admission")
+
+    monkeypatch.setattr(*SWEEP_WORK[backend], refuse)
+    errors, entry = (ValueError, TableBudgetError, PrecisionExhaustedError), cli.BACKENDS[backend]
+    for k, jmax in ((2, 30), (3000, 3000), (2, 400000)):  # the first shape admit refuses
+        try:
+            entry.admit(k, jmax)
+        except errors as exc:
+            refusal = str(exc)
+            break
+    with pytest.raises(errors) as swept:
+        entry.sweep(k, jmax)
+    assert str(swept.value) == refusal, (k, jmax)
+    with pytest.raises(AssertionError, match="past its admission"):
+        entry.sweep(2, 4)  # an admitted sweep reaches the patched work
 
 
 @pytest.mark.parametrize("backend", list(cli.BACKENDS))

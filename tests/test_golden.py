@@ -107,11 +107,9 @@ GOLDEN = [
         "error: table for k=2, jmax=400000 needs up to 120001400002 bits of counts,"
         " budget is 4096000000\n"
     ), 2),
-    (["verify", "--kmax", "1", "--jmax", "65600", "--jobs", "2"],
-     EMPTY, (
-        "error: no stable integer for (k=0, i=0, j=65514) within 65536 "
-        "bits (last residual: never evaluated)\n"
-    ), 2),
+    # levels 0 and 1 sweep at 64 bits at any length
+    (["verify", "--kmax", "1", "--jmax", "65600", "--backends", "dp,spectral", "--jobs", "2"],
+     "ab0ac846392fc964a3ed985e773779decee509236d0fc00c51323b3f4b4422dc", "", 0),
     (["verify", "--kmax", "0", "--jmax", "1999998", "--backends", "matrix,dp"],
      EMPTY, (
         "error: matrix sweep for k=0, jmax=1999998 needs up to 2000002000000 bits of powers,"

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from bratteli import diagram, spectral
-from bratteli.diagram import build_table, count_dp, dp_columns, vertex_heights
+from bratteli.diagram import build_table, count_bits, count_dp, dp_columns, vertex_heights
 from bratteli.genfunc import chebyshev_u, poly_eval
 from bratteli.spectral import (
     PrecisionExhaustedError,
@@ -122,7 +122,7 @@ def test_spectral_columns_match_counts_and_dp():
 
 
 def test_count_spectral_at_40000_steps():
-    # one evaluation at 40064 bits, inside MAX_BITS
+    # one evaluation at 20032 bits, from count_bits(2, 40000) = 20001, inside MAX_BITS
     assert count_spectral(2, 0, 40000) == count_dp(2, 0, 40000)
 
 
@@ -176,12 +176,39 @@ def test_fixed_table_is_within_one_unit(monkeypatch):
         spectral._angles.cache_clear()
 
 
+def _sweep_differs(k, jmax):
+    # spectral_columns(k, jmax) against dp at some vertex; dp's columns are min(k, jmax) + 1 high
+    columns = zip(spectral_columns(k, jmax), dp_columns(k, jmax))
+    return any(col != dp[:len(col)] for col, dp in columns)
+
+
 def test_weakened_precision_is_caught(monkeypatch):
     # j - 32 bits cannot hold the 86-digit count, so the sweeps against dp
     # would catch a bound that is too weak; short columns keep a double's 53 bits
-    monkeypatch.setattr(spectral, "_bits", lambda j: max(j - 32, 53))
+    monkeypatch.setattr(spectral, "_bits", lambda level, j: max(j - 32, 53))
     assert count_spectral(12, 0, 300) != count_dp(12, 0, 300)
-    assert spectral_columns(12, 300) != build_table(12, 300).columns
+    assert _sweep_differs(12, 300)
+
+
+def test_bound_leaves_little_slack(monkeypatch):
+    # 4 bits under count_bits + bit_length(j), 12 under the proven scale before it is rounded up,
+    # a count and a sweep at level 3 already go wrong, and the sweeps against dp catch it
+    monkeypatch.setattr(spectral, "_bits",
+                        lambda level, j: count_bits(level, j) + j.bit_length() - 4)
+    assert count_spectral(3, 0, 60) != count_dp(3, 0, 60)
+    assert _sweep_differs(3, 60)
+
+
+def test_bits_take_the_count_size_and_never_exceed_the_old_bound():
+    # count_bits(level, j) <= j, so no scale is above the old level-blind F = j + bit_length(j) + 8
+    grid = sorted({*range(0, 300), *range(300, 70001, 997), 65511, 65512, 65536, 70000})
+    for level in range(301):
+        for j in grid:
+            old = -(-(j + j.bit_length() + 8) // 64) * 64
+            assert spectral._bits(level, j) <= old, (level, j)
+    # levels 0 and 1 have counts of one bit, so their sweeps run at 64 bits at any length
+    assert spectral.admit_columns(0, 10**6) == spectral.admit_columns(1, 10**6) == 64
+    assert spectral._bits(2, 40000) == 20032 and spectral._bits(5, 65511) < spectral.MAX_BITS
 
 
 def test_angle_outside_its_enclosure_raises(monkeypatch):
@@ -232,8 +259,8 @@ def test_precision_exhaustion(monkeypatch):
     monkeypatch.setattr(spectral, "MAX_BITS", 64)
     with pytest.raises(PrecisionExhaustedError, match="never evaluated"):
         count_spectral(6, 0, 60)
-    # the sweep refuses at the first vertex past 64 bits, j = 51, as count_spectral does, with
-    # the same text under either MAX_BITS; at level 0 column 51 is empty, so the first is j = 52.
+    # every column of a sweep runs at its last column's scale, so the sweep refuses at that
+    # column's first vertex, as count_spectral does, with the same text under either MAX_BITS.
     # Both refuse before evaluating anything, so no table is built
     def no_table(level, bits):
         raise AssertionError(f"table built for level {level} at {bits} bits")
@@ -241,9 +268,9 @@ def test_precision_exhaustion(monkeypatch):
     monkeypatch.setattr(spectral, "_angles", no_table)
     for max_bits in (96, 64):
         monkeypatch.setattr(spectral, "MAX_BITS", max_bits)
-        for k, i, j in ((6, 1, 51), (0, 0, 52)):
+        for k, i, j in ((6, 0, 60), (2, 1, 121)):
             with pytest.raises(PrecisionExhaustedError) as swept:
-                spectral_columns(k, 60)
+                spectral_columns(k, j)
             with pytest.raises(PrecisionExhaustedError) as single:
                 count_spectral(k, i, j)
             assert f"(k={k}, i={i}, j={j}) within {max_bits} bits" in str(swept.value)
