@@ -23,7 +23,6 @@ from .diagram import (
     _check_nonneg,
     adjacency_power_row,
     adjacency_power_rows,
-    admit_rows,
     admit_table,
     build_table,
     count_bits,
@@ -38,7 +37,6 @@ from .genfunc import (LinearRecurrence, decimate, gf_closed_form, recurrence_fro
 from .spectral import (
     MAX_BITS,
     PrecisionExhaustedError,
-    admit_columns,
     count_spectral,
     empirical_rate,
     growth_rate,
@@ -113,8 +111,8 @@ BACKENDS = {
     "dyck": Backend(lambda k, i, j: enumerate_count(k, i, j), _sweep_dyck, _admit_dyck),
     "gf": Backend(_count_gf, _sweep_gf, admit_table),
     "spectral": Backend(lambda k, i, j: count_spectral(k, i, j),
-                        lambda k, jmax: spectral_columns(k, jmax), admit_columns),
-    "matrix": Backend(_count_matrix, lambda k, jmax: adjacency_power_rows(k, jmax), admit_rows),
+                        lambda k, jmax: spectral_columns(k, jmax), admit_table),
+    "matrix": Backend(_count_matrix, lambda k, jmax: adjacency_power_rows(k, jmax), admit_table),
 }
 
 

@@ -185,24 +185,16 @@ def adjacency_power_row(k: int, j: int) -> list:
     return [c[i] - c[-i - 2] for i in range(k + 1)]
 
 
-def admit_rows(k: int, jmax: int) -> None:
-    """Raise adjacency_power_rows(k, jmax)'s TableBudgetError, if any, computing nothing: it
-    charges 2(L+2) entries of m + 1 bits for each m <= jmax // 2, L = min(k, jmax).  This bounds
-    work, not memory: the folded entries grow as 2**j at every level, so the sweep adds about
-    (L+2) * jmax**2 bits, some 4x the charge.  In process, best of 5 on 2 vCPUs: (0, 90000),
-    near the edge, 0.43 s; (1, 60000) 0.31 s; (60, 4000) 0.10 s."""
-    _check_nonneg(k=k, jmax=jmax)
-    _check_budget(f"matrix sweep for k={k}, jmax={jmax} needs up to",
-                  (min(k, jmax) + 2) * (jmax // 2 + 1) * (jmax // 2 + 2), "bits of powers", 4096)
-
-
 def adjacency_power_rows(k: int, jmax: int) -> list:
     """adjacency_power_row(min(k, jmax), j) for j = 0..jmax, each power one step from the last.
 
-    Power j is power j - 1 times x + 1/x on the folded cycle, so only one power is held, and
-    admit_rows(k, jmax) admits the sweep first.
+    The walk starts from the source together with its image in the wall -1, the cycle vector
+    1 - x**-2, so power j is (1 - x**-2)(x + 1/x)**j and its entries 0..level are the row itself:
+    every entry is a count, its negative or 0, with no 2**j growth.  Power j is power j - 1
+    times x + 1/x, so only one power is held, and admit_table(k, jmax) admits the sweep first.
     """
-    admit_rows(k, jmax)
+    admit_table(k, jmax)
     level = min(k, jmax)  # no path of jmax steps climbs higher
-    powers = accumulate(range(jmax), lambda c, _: _one_step(c), initial=[1] + [0] * (2 * level + 3))
-    return [[c[i] - c[-i - 2] for i in range(level + 1)] for c in powers]
+    start = [1] + [0] * (2 * level + 1) + [-1, 0]
+    powers = accumulate(range(jmax), lambda c, _: _one_step(c), initial=start)
+    return [c[:level + 1] for c in powers]

@@ -203,6 +203,7 @@ def gf_inv(g: RationalGF) -> RationalGF:
 
 def gf_shift(g: RationalGF, n: int) -> RationalGF:
     """Multiply by x**n."""
+    _check_nonneg(n=n)
     return make_gf(poly_shift(list(g.num), n), list(g.den))
 
 

@@ -14,8 +14,10 @@ r < (k+2)/2 half and doubled.
 Counts are evaluated in Python integers at a scale 2**F that ``diagram.count_bits`` sets, from one
 table of sines and poles each within one unit, ``_angles``: one evaluator, for ``count_spectral``'s
 vertex and the columns of verify's sweep ``spectral_columns``, forms each count as one integer dot
-product within 1/32 of it by an a priori bound, so its nearest integer is certified.  mpmath,
-imported at first use, serves ``residue_decomposition``, ``growth_rate`` and ``empirical_rate``.
+product within 1/32 of it by an a priori bound, so its nearest integer is certified.  A count past
+MAX_BITS is refused; the sweep is admitted as a table, whose budget keeps F within MAX_BITS.
+mpmath, imported at first use, serves ``residue_decomposition``, ``growth_rate`` and
+``empirical_rate``.
 """
 
 from collections import deque, namedtuple
@@ -23,10 +25,16 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .diagram import (_check_budget, _check_height, _check_nonneg, count_bits, dp_columns,
-                      is_vertex, vertex_heights)
+from .diagram import (_check_budget, _check_height, _check_nonneg, admit_table, count_bits,
+                      dp_columns, is_vertex, vertex_heights)
 
 MAX_BITS = 1 << 16  # count_spectral refuses a length that needs more precision
+
+
+def _check_bits(bits: int) -> None:
+    _check_nonneg(bits=bits)
+    if bits == 0:
+        raise ValueError("bits must be positive, got 0")
 
 
 class PrecisionExhaustedError(ArithmeticError):
@@ -69,6 +77,7 @@ def residue_decomposition(k: int, i: int, bits: int = 113) -> SpectralDecomposit
     of a table, raise TableBudgetError before anything is computed.
     """
     _check_height(k, i)
+    _check_bits(bits)
     _check_budget(f"residues for k={k} need", k + 1, "terms")
     import mpmath
     # the table's proof takes w < 2 scale, which holds from 64 bits at every level within budget
@@ -159,14 +168,6 @@ def _bits(k: int, j: int) -> int:
     return -(-(count_bits(k, j) + j.bit_length() + 8) // 64) * 64
 
 
-def _checked_bits(k: int, i: int, j: int) -> int:
-    # _bits(k, j), or the refusal of vertex (i, j) when that is past MAX_BITS
-    if _bits(k, j) > MAX_BITS:
-        raise PrecisionExhaustedError(f"no stable integer for (k={k}, i={i}, j={j}) within"
-                                      f" {MAX_BITS} bits (last residual: never evaluated)")
-    return _bits(k, j)
-
-
 def _column(sines: tuple, bits: int, heights, powers, weights: dict) -> list:
     # the counts at a column's heights (j > 0) from its pole powers; the caller's dict keeps weights
     for i in heights:
@@ -187,7 +188,10 @@ def count_spectral(k: int, i: int, j: int) -> int:
     _check_nonneg(k=k, i=i, j=j)
     if j == 0 or not is_vertex(k, i, j):  # the empty path: the halved sum drops the pole 0
         return int(is_vertex(k, i, j))
-    bits, level = _checked_bits(k, i, j), min(k, j)
+    bits, level = _bits(k, j), min(k, j)
+    if bits > MAX_BITS:
+        raise PrecisionExhaustedError(f"no stable integer for (k={k}, i={i}, j={j}) within"
+                                      f" {MAX_BITS} bits (last residual: never evaluated)")
     sines, poles = _angles(level, bits)
     powers = poles[:(level + 1) // 2]  # to the j-th power by binary powering from the high bit
     for bit in bin(j)[3:]:
@@ -197,19 +201,18 @@ def count_spectral(k: int, i: int, j: int) -> int:
     return _column(sines, bits, (i,), powers, {})[0]
 
 
-def admit_columns(k: int, jmax: int) -> int:
-    """spectral_columns(k, jmax)'s scale F, or its refusal at the last column's first vertex."""
-    _check_nonneg(k=k, jmax=jmax)
-    return _checked_bits(k, jmax % 2, jmax)
-
-
 def spectral_columns(k: int, jmax: int) -> list:
     """count_spectral(k, i, j) at every vertex with j <= jmax, in columns of heights 0..min(k, j).
 
-    Every column runs at level min(k, jmax) and scale admit_columns(k, jmax), column j's pole
-    powers are column j - 1's times the poles, and each height's weights are computed once.
+    Every column runs at level min(k, jmax) and scale _bits(k, jmax), column j's pole powers are
+    column j - 1's times the poles, and each height's weights are computed once.  The sweep is
+    admitted as build_table(k, jmax) is, and no admitted shape needs more than MAX_BITS.
     """
-    bits, level = admit_columns(k, jmax), min(k, jmax)
+    # at level >= 2 an admitted table has need >= jmax vertices and need * count_bits <= 4096
+    # MAX_ENTRIES bits, so count_bits <= min(jmax, 4.096e9 / jmax) <= 64000 and jmax < 2**20:
+    # _bits <= 64064.  Levels 0 and 1 have counts of one bit and jmax < 2**21, so run at 64 bits
+    admit_table(k, jmax)
+    bits, level = _bits(k, jmax), min(k, jmax)
     sines, poles = _angles(level, bits)
     powers, weights, columns = [1 << bits] * ((level + 1) // 2), {}, []
     for j in range(jmax + 1):
@@ -223,6 +226,7 @@ def spectral_columns(k: int, jmax: int) -> list:
 def growth_rate(k: int, bits: int = 53):
     """Dominant eigenvalue 2 cos(pi / (k+2)): the asymptotic growth per step."""
     _check_nonneg(k=k)
+    _check_bits(bits)
     import mpmath
     with mpmath.workprec(bits):  # at k = 0, 2 cos(pi/2) is 0 exactly, as residues has it
         return 2 * mpmath.cos(mpmath.pi / (k + 2)) if k else mpmath.mpf(0)
@@ -238,6 +242,7 @@ def empirical_rate(k: int, i: int, jmax: int, bits: int = 128):
     ratio has nearly converged.
     """
     _check_nonneg(k=k, i=i, jmax=jmax)
+    _check_bits(bits)
     jm = jmax - (i + jmax) % 2
     if jm < 2:
         raise ValueError("jmax too small: need at least two usable lengths")

@@ -28,11 +28,11 @@ from bratteli.genfunc import (
     chebyshev_u,
     gf_closed_form,
     gf_product_form,
+    gf_shift,
     series_coeffs,
     u_reversed,
 )
 from bratteli.spectral import (
-    PrecisionExhaustedError,
     count_spectral,
     empirical_rate,
     growth_rate,
@@ -229,6 +229,13 @@ def test_spectral_functions_share_one_input_contract(args):
         lambda: empirical_rate(bad, 0, 10),
         lambda: empirical_rate(3, bad, 10),
         lambda: empirical_rate(3, 1, bad),
+        # and a precision must be positive: bits=0 once gave growth_rate(3) as 1.0
+        lambda: residue_decomposition(3, 0, bits=bad),
+        lambda: residue_decomposition(3, 0, bits=0),
+        lambda: growth_rate(3, bits=bad),
+        lambda: growth_rate(3, bits=0),
+        lambda: empirical_rate(3, 1, 10, bits=bad),
+        lambda: empirical_rate(3, 1, 10, bits=0),
     ]
     for call in calls:
         with pytest.raises(ValueError):
@@ -256,6 +263,7 @@ def test_closed_form_functions_share_one_input_contract(args):
         lambda: u_reversed(bad),
         lambda: bounded_dyck_gf(bad),
         lambda: series_coeffs(GF_ONE, bad),
+        lambda: gf_shift(GF_ONE, bad),
     ]
     for call in calls:
         with pytest.raises(ValueError):
@@ -795,34 +803,6 @@ def test_verify_refuses_a_table_over_budget_before_any_level(monkeypatch, backen
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_refuses_matrix_powers_before_any_level(monkeypatch, jobs):
-    # levels 0 and 1 keep their powers in the budget and level 2's do not, so no level is swept
-    _no_sweeps(monkeypatch)
-    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
-    argv = ["verify", "--kmax", "2", "--jmax", "65000", "--backends", "gf,matrix", "--jobs", jobs]
-    assert run(argv) == (2, "", (
-        "error: matrix sweep for k=2, jmax=65000 needs up to 4225390008 bits of powers,"
-        " budget is 4096000000\n"))
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_refuses_spectral_precision_before_any_level(monkeypatch, jobs):
-    # with 64 bits, levels 0 and 1 are admitted at any length, and level 2 refuses its sweep at
-    # the last column's first vertex, as count_spectral does there
-    monkeypatch.setattr(spectral, "MAX_BITS", 64)
-    with pytest.raises(PrecisionExhaustedError) as single:
-        count_spectral(2, 1, 121)
-    _no_sweeps(monkeypatch)
-    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
-    assert run(["verify", "--kmax", "2", "--jmax", "121", "--jobs", jobs]) == (
-        2, "", f"error: {single.value}\n")
-
-
-SPECTRAL_AT_2 = ("error: no stable integer for (k=2, i=0, j=65000) within 4096 bits"
-                 " (last residual: never evaluated)\n")
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("argv, loser, err", [
     # every level's table is admitted before any backend's sweep, so dyck's cap comes second
     (["--kmax", "3000", "--jmax", "3000", "--backends", "dp,dyck"], "dyck",
@@ -830,15 +810,10 @@ SPECTRAL_AT_2 = ("error: no stable integer for (k=2, i=0, j=65000) within 4096 b
     (["--kmax", "2", "--jmax", "400000"], "spectral",
      "error: table for k=2, jmax=400000 needs up to 120001400002 bits of counts,"
      " budget is 4096000000\n"),
-    # then the listed backends in registry order, whatever the order of --backends
-    (["--kmax", "2", "--jmax", "65000", "--backends", "matrix,spectral"], "matrix", SPECTRAL_AT_2),
-    (["--kmax", "2", "--jmax", "65000", "--backends", "spectral,matrix"], "matrix", SPECTRAL_AT_2),
-], ids=["table-dyck", "table-spectral", "matrix,spectral", "spectral,matrix"])
+], ids=["table-dyck", "table-spectral"])
 def test_verify_refusal_precedence(monkeypatch, argv, loser, err, jobs):
-    # each argv trips two refusals: the one printed, and the loser's at level kmax.  Spectral
-    # runs under 4096 bits: at the real MAX_BITS a level-2 table refuses before its sweep would
-    monkeypatch.setattr(spectral, "MAX_BITS", 4096)
-    with pytest.raises((ValueError, TableBudgetError, PrecisionExhaustedError)):
+    # each argv trips two refusals: the one printed, and the loser's at level kmax
+    with pytest.raises((ValueError, TableBudgetError)):
         cli.BACKENDS[loser].admit(int(argv[1]), int(argv[3]))
     _no_sweeps(monkeypatch)
     monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
@@ -874,7 +849,7 @@ def test_every_sweep_raises_its_admission(monkeypatch, backend):
         raise AssertionError(f"{backend} swept past its admission")
 
     monkeypatch.setattr(*SWEEP_WORK[backend], refuse)
-    errors, entry = (ValueError, TableBudgetError, PrecisionExhaustedError), cli.BACKENDS[backend]
+    errors, entry = (ValueError, TableBudgetError), cli.BACKENDS[backend]
     for k, jmax in ((2, 30), (3000, 3000), (2, 400000)):  # the first shape admit refuses
         try:
             entry.admit(k, jmax)

@@ -149,27 +149,36 @@ def test_matrix_power_matches_dp():
             assert rows[j] == adjacency_power_row(k, j) == col + [0] * (k + 1 - len(col)), (k, j)
 
 
-def test_matrix_rows_keep_only_the_powers_squared_again(monkeypatch):
+def test_matrix_rows_keep_only_the_powers_squared_again():
     import tracemalloc
-    # one power of 6 entries of at most 4000 bits is held at a time, 0.4 MB at peak with the
-    # rows; keeping powers 0..2000 peaked at 1.4 MB, and all 4001 powers at 3.8 MB
+    # one power of 6 entries is held at a time, 0.32 MB at peak with the rows; keeping all 4001
+    # powers peaked at 0.83 MB
     tracemalloc.start()
     rows = adjacency_power_rows(1, 4000)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak < 500_000
     assert rows[3999] == adjacency_power_row(1, 3999) and rows[4000] == adjacency_power_row(1, 4000)
 
-    def no_power(c, *bit):
-        raise AssertionError("a power was built past the budget")
 
-    # about 8 * 10**12 bits of additions over 2 * 10**6 steps: refused before the first
-    monkeypatch.setattr(diagram, "_power_step", no_power)
-    monkeypatch.setattr(diagram, "_one_step", no_power)
-    with pytest.raises(TableBudgetError) as refused:
-        adjacency_power_rows(0, 1999998)
-    assert str(refused.value) == ("matrix sweep for k=0, jmax=1999998 needs up to 2000002000000"
-                                  " bits of powers, budget is 4096000000")
+def test_matrix_rows_walk_counts_not_powers_of_two(monkeypatch):
+    # the walk starts at the source and its image in the wall -1, so every entry of every power
+    # is a count of its length, its negative or 0; folding only at the end, as the single-row
+    # power does, grows the entries as 2**j at every level
+    widths = []  # of power j, in the step that takes it to power j + 1
+    one_step = diagram._one_step
+
+    def measured(c):
+        widths.append(max(abs(x).bit_length() for x in c))
+        return one_step(c)
+
+    monkeypatch.setattr(diagram, "_one_step", measured)
+    for level in range(13):
+        widths.clear()
+        adjacency_power_rows(level, 200)
+        assert len(widths) == 200
+        for j, width in enumerate(widths):
+            assert width <= count_bits(level, j), (level, j)
 
 
 def test_matrix_rows_square_each_kept_power_once(monkeypatch):

@@ -110,14 +110,12 @@ GOLDEN = [
     # levels 0 and 1 sweep at 64 bits at any length
     (["verify", "--kmax", "1", "--jmax", "65600", "--backends", "dp,spectral", "--jobs", "2"],
      "ab0ac846392fc964a3ed985e773779decee509236d0fc00c51323b3f4b4422dc", "", 0),
-    (["verify", "--kmax", "0", "--jmax", "1999998", "--backends", "matrix,dp"],
+    # the matrix sweep walks counts, not powers of two, so a table's budget admits it
+    (["verify", "--kmax", "1", "--jmax", "100000", "--backends", "dp,matrix"],
+     "7ce1f89d649d40b4346c020af2fcba7dba4baf94a06f8b88ef816009cdfe53e0", "", 0),
+    (["verify", "--kmax", "2", "--jmax", "74000", "--backends", "gf,matrix"],
      EMPTY, (
-        "error: matrix sweep for k=0, jmax=1999998 needs up to 2000002000000 bits of powers,"
-        " budget is 4096000000\n"
-    ), 2),
-    (["verify", "--kmax", "2", "--jmax", "65000", "--backends", "gf,matrix"],
-     EMPTY, (
-        "error: matrix sweep for k=2, jmax=65000 needs up to 4225390008 bits of powers,"
+        "error: table for k=2, jmax=74000 needs up to 4107259002 bits of counts,"
         " budget is 4096000000\n"
     ), 2),
     (["count", "--k", "2", "--i", "0", "--j", "4", "--backend", "bogus"],

@@ -207,8 +207,27 @@ def test_bits_take_the_count_size_and_never_exceed_the_old_bound():
             old = -(-(j + j.bit_length() + 8) // 64) * 64
             assert spectral._bits(level, j) <= old, (level, j)
     # levels 0 and 1 have counts of one bit, so their sweeps run at 64 bits at any length
-    assert spectral.admit_columns(0, 10**6) == spectral.admit_columns(1, 10**6) == 64
+    assert spectral._bits(0, 10**6) == spectral._bits(1, 10**6) == 64
     assert spectral._bits(2, 40000) == 20032 and spectral._bits(5, 65511) < spectral.MAX_BITS
+
+
+def test_every_table_admitted_sweep_fits_in_max_bits():
+    # spectral_columns is admitted as a table, so the largest table admitted at each level,
+    # found by bisection, must run within MAX_BITS: the largest scale is 37760 bits, at (3, 54312)
+    def largest_admitted(level):
+        lo, hi = 0, 2 * diagram.MAX_ENTRIES + 2  # admitted, refused at every level
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                diagram.admit_table(level, mid)
+                lo = mid
+            except diagram.TableBudgetError:
+                hi = mid
+        return lo
+
+    for level in (*range(3000), 10**4, 10**5, 10**6):
+        jmax = largest_admitted(level)
+        assert spectral._bits(level, jmax) <= spectral.MAX_BITS, (level, jmax)
 
 
 def test_angle_outside_its_enclosure_raises(monkeypatch):
@@ -259,22 +278,6 @@ def test_precision_exhaustion(monkeypatch):
     monkeypatch.setattr(spectral, "MAX_BITS", 64)
     with pytest.raises(PrecisionExhaustedError, match="never evaluated"):
         count_spectral(6, 0, 60)
-    # every column of a sweep runs at its last column's scale, so the sweep refuses at that
-    # column's first vertex, as count_spectral does, with the same text under either MAX_BITS.
-    # Both refuse before evaluating anything, so no table is built
-    def no_table(level, bits):
-        raise AssertionError(f"table built for level {level} at {bits} bits")
-
-    monkeypatch.setattr(spectral, "_angles", no_table)
-    for max_bits in (96, 64):
-        monkeypatch.setattr(spectral, "MAX_BITS", max_bits)
-        for k, i, j in ((6, 0, 60), (2, 1, 121)):
-            with pytest.raises(PrecisionExhaustedError) as swept:
-                spectral_columns(k, j)
-            with pytest.raises(PrecisionExhaustedError) as single:
-                count_spectral(k, i, j)
-            assert f"(k={k}, i={i}, j={j}) within {max_bits} bits" in str(swept.value)
-            assert str(swept.value) == str(single.value)
 
 
 def test_growth_rate_values():
