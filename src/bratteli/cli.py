@@ -27,11 +27,10 @@ from .diagram import (
     build_table,
     count_bits,
     count_dp,
-    dp_columns,
     is_vertex,
     vertex_heights,
 )
-from .dyck import MAX_LENGTH, endpoint_counts, endpoint_tallies, enumerate_count
+from .dyck import admit_enumeration, endpoint_counts, endpoint_tallies, enumerate_count
 from .genfunc import (LinearRecurrence, decimate, gf_closed_form, recurrence_from_gf,
                       series_coeff, series_coeffs)
 from .spectral import (
@@ -88,14 +87,8 @@ def _sweep_gf(k: int, jmax: int) -> list:
     return list(zip(*series))
 
 
-def _admit_dyck(k: int, jmax: int) -> None:
-    _check_nonneg(k=k, jmax=jmax)
-    if jmax > MAX_LENGTH:
-        raise ValueError(f"the dyck backend enumerates at most {MAX_LENGTH} steps; lower --jmax")
-
-
 def _sweep_dyck(k: int, jmax: int) -> list:
-    _admit_dyck(k, jmax)
+    admit_enumeration(k, jmax)
     return endpoint_tallies(k, jmax)
 
 
@@ -108,7 +101,7 @@ Backend = namedtuple("Backend", "count sweep admit")
 BACKENDS = {
     "dp": Backend(lambda k, i, j: count_dp(k, i, j),
                   lambda k, jmax: build_table(k, jmax).columns, admit_table),
-    "dyck": Backend(lambda k, i, j: enumerate_count(k, i, j), _sweep_dyck, _admit_dyck),
+    "dyck": Backend(lambda k, i, j: enumerate_count(k, i, j), _sweep_dyck, admit_enumeration),
     "gf": Backend(_count_gf, _sweep_gf, admit_table),
     "spectral": Backend(lambda k, i, j: count_spectral(k, i, j),
                         lambda k, jmax: spectral_columns(k, jmax), admit_table),
@@ -318,22 +311,22 @@ def compare_backends(k: int, sweeps: list) -> list:
 # the estimated work, in units of about 1 us of serial sweeping, from which verify's levels run in
 # a process pool: below it, the pool's fixed cost (importing concurrent.futures.process, starting
 # the workers, collecting their results: about 50 ms) outweighs a second worker's gain.  dyck's
-# frontier enumerates a path in 4.5-7 ns at levels 19-26, so 150 paths are one unit.  Whole
-# processes on 2 vCPUs, medians of 11 and of 21 alternating pairs, serial against pooled: (kmax,
-# jmax) = (20, 200), 298,595 units, 0.29 and 0.23 s against 0.24 and 0.23 s; dp,dyck at (26, 22),
-# 187,231 units, 0.24 and 0.23 s against 0.23 and 0.22 s; (22, 220), 431,398 units, 0.37 and 0.29
-# s against 0.31 and 0.28 s.  Near the crossover the two are within the shared machine's noise
+# frontier enumerates a path in 4.5-7 ns at levels 19-26, so 150 paths are one unit, as is a depth.
+# Whole processes on 2 vCPUs, medians of 11 and of 21 alternating pairs, serial against pooled:
+# (kmax, jmax) = (20, 200), 298,595 units, 0.29 and 0.23 s against 0.24 and 0.23 s; dp,dyck at
+# (26, 22), 187,750 units, 0.24 and 0.23 s against 0.23 and 0.22 s; (22, 220), 431,398 units, 0.37
+# and 0.29 s against 0.31 and 0.28 s.  Near the crossover the two are within the machine's noise
 POOL_MIN_WORK = 250_000
 
 
 def _verify_workers(jobs: int, sizes: list, jmax: int, backends: tuple) -> int:
     """How many processes, at most jobs, sweep levels 0..len(sizes) - 1 up to jmax: one unless
     the estimated work reaches POOL_MIN_WORK.  Each of level k's sizes[k] vertices costs k units,
-    as the spectral and gf sweeps' work per vertex grows with the level, and 150 nodes
-    of dyck's enumeration, which visits every path of every length up to jmax, cost one."""
+    as the spectral and gf sweeps' work per vertex grows with the level; dyck's enumeration costs
+    a unit per 150 of the nodes admit_enumeration charges, its paths and 150 for each depth."""
     work = sum(k * size for k, size in enumerate(sizes))
-    if "dyck" in backends:  # the paths are the sum of the level's dp columns, few at jmax <= 26
-        work += sum(sum(map(sum, dp_columns(k, jmax))) for k in range(len(sizes))) // 150
+    if "dyck" in backends:  # every level is admitted by now, so none raises
+        work += sum(admit_enumeration(k, jmax) // 150 for k in range(len(sizes)))
     return min(jobs, len(sizes)) if work >= POOL_MIN_WORK else 1
 
 
@@ -349,9 +342,10 @@ def _cmd_verify(args) -> int:
     # a level above jmax sweeps what level jmax sweeps: run levels up to jmax, count the rest
     sizes = [admit_table(k, args.jmax) for k in range(min(args.kmax, args.jmax) + 1)]
     tasks = [(k, args.jmax, backends) for k in range(len(sizes))]  # all admitted before any runs:
-    for name in (name for name in BACKENDS if name in backends):  # the tables, then each listed
-        for k, _, _ in tasks:  # backend's sweep, in registry order
-            BACKENDS[name].admit(k, args.jmax)
+    for name in (name for name in BACKENDS if name in backends):  # the tables, then each other
+        if BACKENDS[name].admit is not admit_table:  # listed backend's sweep, in registry order
+            for k, _, _ in tasks:
+                BACKENDS[name].admit(k, args.jmax)
     queries = sum(sizes) + max(args.kmax - args.jmax, 0) * sizes[-1]  # sizes[-1]: level jmax
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     workers = _verify_workers(jobs, sizes, args.jmax, backends)

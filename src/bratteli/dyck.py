@@ -2,21 +2,16 @@
 
 A path is a string over {'u', 'd'} read left to right; the height after a
 prefix is (#u - #d) and must stay in [0, k].  ``enumerate_count`` counts
-paths by exhaustive enumeration: every bounded path is one byte, its end
-height, in a breadth-first frontier that never merges two paths, so it is
-the slow-but-obviously-correct reference the other backends are checked
-against.  ``iter_paths`` yields the paths themselves in lexicographic
-order.  ``factorize`` splits a bounded path ending at height i into the
-i+1 excursions obtained by cutting at the final departure from each of the
-levels 0..i-1; piece number s (1-based) is a Dyck path whose own height
-never exceeds k+1-s, which is the combinatorial heart of the product form
-of the generating function.
+paths by exhaustive enumeration, one frontier byte per bounded path and no
+two merged: the slow-but-obviously-correct reference the other backends are
+checked against, admitted by the nodes it visits (``admit_enumeration``).
+``iter_paths`` yields the paths in lexicographic order.  ``factorize`` cuts
+a bounded path ending at height i at the final departure from each of the
+levels 0..i-1 into i+1 Dyck paths, piece s (1-based) of height at most
+k+1-s: the combinatorial heart of the generating function's product form.
 """
 
-from .diagram import _check_nonneg, is_vertex
-
-
-MAX_LENGTH = 26  # enumerate_count's cap on j: the search tree has up to 2**j leaves
+from .diagram import MAX_ENTRIES, _check_budget, _check_nonneg, dp_columns, is_vertex
 
 # a step up and a step down of a height held in one byte; the height leaving [0, level] is
 # deleted first, so neither table's wrap-around entry is ever read
@@ -31,7 +26,7 @@ def endpoint_tallies(k: int, jmax: int) -> list:
     per bounded path of the current depth, its end height, and the next depth is every path's
     up-child followed by every path's down-child.  Paths that end at the same height are never
     merged, so the enumeration visits each node, a path, once, and tallies it at its own depth.
-    Nothing caps the search; the caller bounds ``jmax``.  A level min(k, jmax) above 255 does
+    Nothing caps the search; admit_enumeration admits it.  A level min(k, jmax) above 255 does
     not fit in a byte, and its tree has more than 2**255 nodes: ValueError, before any work.
     """
     _check_nonneg(k=k, jmax=jmax)
@@ -48,11 +43,23 @@ def endpoint_tallies(k: int, jmax: int) -> list:
     return tallies
 
 
-def endpoint_counts(k: int, length: int) -> list:
-    """Paths of exactly ``length`` steps by endpoint height: endpoint_tallies(k, length)[-1].
+def admit_enumeration(k: int, jmax: int) -> int:
+    """The nodes endpoint_tallies(k, jmax) visits, its paths of every length up to jmax, plus
+    150 a depth, which costs about 1 us however few paths it holds: TableBudgetError past 64 *
+    MAX_ENTRIES.  From level 28 on the sum passes that by column 28, so a band of 33 heights,
+    exact that far, makes a refusal at k = 10**6 as cheap as at k = 32."""
+    _check_nonneg(k=k, jmax=jmax)
+    nodes = 150 * (jmax + 1)
+    for col in dp_columns(min(k, 32), jmax):
+        nodes += sum(col)
+        if nodes > 64 * MAX_ENTRIES:
+            break
+    _check_budget(f"enumeration for k={k} to depth {jmax} visits at least", nodes, "nodes", 64)
+    return nodes
 
-    The caller bounds ``length`` (enumerate_count by MAX_LENGTH).
-    """
+
+def endpoint_counts(k: int, length: int) -> list:
+    """endpoint_tallies(k, length)[-1], paths of ``length`` steps by end height, once admitted."""
     _check_nonneg(k=k, length=length)
     return endpoint_tallies(k, length)[-1]
 
@@ -63,14 +70,13 @@ def enumerate_count(k: int, i: int, j: int) -> int:
     The search holds every bounded prefix, one frontier byte each, and
     tallies the endpoints at depth j, at level min(k, j) since no path of j
     steps climbs higher.  An unreachable (i, j) is 0 at any j; at a vertex
-    ``j`` must not exceed MAX_LENGTH (26) since the tree has up to 2**j leaves.
+    the search is first admitted by admit_enumeration, which counts its nodes.
     """
     _check_nonneg(k=k, i=i, j=j)
     level = min(k, j)
     if not is_vertex(level, i, j):
         return 0
-    if j > MAX_LENGTH:
-        raise ValueError(f"j={j} exceeds the enumeration cap of {MAX_LENGTH} steps")
+    admit_enumeration(k, j)
     return endpoint_counts(level, j)[i]
 
 

@@ -191,7 +191,7 @@ def count_spectral(k: int, i: int, j: int) -> int:
     bits, level = _bits(k, j), min(k, j)
     if bits > MAX_BITS:
         raise PrecisionExhaustedError(f"no stable integer for (k={k}, i={i}, j={j}) within"
-                                      f" {MAX_BITS} bits (last residual: never evaluated)")
+                                      f" {MAX_BITS} bits")
     sines, poles = _angles(level, bits)
     powers = poles[:(level + 1) // 2]  # to the j-th power by binary powering from the high bit
     for bit in bin(j)[3:]:

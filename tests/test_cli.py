@@ -53,9 +53,9 @@ def test_count_basic():
 
 
 def test_count_unreachable_is_zero_not_error():
-    # too high, and, past dyck's 26-step cap, too high or of the wrong parity
+    # too high, and, past the 48 steps dyck admits at level 2, too high or of the wrong parity
     for backend in ("dp", "matrix", "dyck", "gf", "spectral"):
-        for i, j in ((5, 7), (5, 30), (1, 30)):
+        for i, j in ((5, 7), (5, 50), (1, 50)):
             code, out, _ = run(["count", "--k", "2", "--i", str(i), "--j", str(j),
                                 "--backend", backend])
             assert (code, out) == (0, "0\n"), (backend, i, j)
@@ -148,7 +148,7 @@ def test_count_via_clamps_k_to_j(monkeypatch, backend, j):
 @pytest.mark.parametrize("backend", list(cli.BACKENDS))
 def test_count_via_answers_levels_0_and_1_without_a_backend(monkeypatch, backend):
     # every count at levels 0 and 1 is 0 or 1, however long the path: no backend runs, so a j
-    # past dyck's cap, spectral's precision or any column's budget is answered at once
+    # past dyck's node budget, spectral's precision or any column's budget is answered at once
     def refuse(*args):
         raise AssertionError(f"{backend} ran at level 0 or 1")
 
@@ -271,7 +271,7 @@ def test_closed_form_functions_share_one_input_contract(args):
 
 
 def test_count_dyck_cap_is_domain_error():
-    code, _, err = run(["count", "--k", "2", "--i", "0", "--j", "30", "--backend", "dyck"])
+    code, _, err = run(["count", "--k", "30", "--i", "0", "--j", "40", "--backend", "dyck"])
     assert code == 2
     assert "error" in err
 
@@ -703,7 +703,7 @@ def test_verify_all_five_backends():
 
 
 def test_verify_flag_validation():
-    assert run(["verify", "--kmax", "2", "--jmax", "30", "--backends", "dp,dyck"])[0] == 2
+    assert run(["verify", "--kmax", "30", "--jmax", "40", "--backends", "dp,dyck"])[0] == 2
     assert run(["verify", "--kmax", "2", "--jmax", "4", "--backends", "dp"])[0] == 2
     assert run(["verify", "--kmax", "2", "--jmax", "4", "--backends", "dp,nope"])[0] == 2
     assert run(["verify", "--kmax", "2", "--jmax", "4", "--backends", "dp,dp"])[0] == 2
@@ -790,7 +790,7 @@ def _no_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("backends", ["gf,dp", "dp,gf", "gf,matrix"])
+@pytest.mark.parametrize("backends", ["gf,dp", "dp,gf", "gf,matrix", "dp,matrix,gf,spectral"])
 def test_verify_refuses_a_table_over_budget_before_any_level(monkeypatch, backends, jobs):
     # every level's table is admitted in k order before the first runs, so level 2's counts of
     # up to sqrt(2)**400000 are refused whatever the backends' order, dp or not, and the pool
@@ -804,13 +804,10 @@ def test_verify_refuses_a_table_over_budget_before_any_level(monkeypatch, backen
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("argv, loser, err", [
-    # every level's table is admitted before any backend's sweep, so dyck's cap comes second
+    # every level's table is admitted before any backend's sweep, so dyck's node budget comes second
     (["--kmax", "3000", "--jmax", "3000", "--backends", "dp,dyck"], "dyck",
      "error: table for k=763, jmax=3000 needs 1000840 entries, budget is 1000000\n"),
-    (["--kmax", "2", "--jmax", "400000"], "spectral",
-     "error: table for k=2, jmax=400000 needs up to 120001400002 bits of counts,"
-     " budget is 4096000000\n"),
-], ids=["table-dyck", "table-spectral"])
+], ids=["table-dyck"])
 def test_verify_refusal_precedence(monkeypatch, argv, loser, err, jobs):
     # each argv trips two refusals: the one printed, and the loser's at level kmax
     with pytest.raises((ValueError, TableBudgetError)):
@@ -818,6 +815,18 @@ def test_verify_refusal_precedence(monkeypatch, argv, loser, err, jobs):
     _no_sweeps(monkeypatch)
     monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
     assert run(["verify", *argv, "--jobs", jobs]) == (2, "", err)
+
+
+def test_verify_admits_each_table_once(monkeypatch):
+    # four of the five backends are admitted as their level's table: verify admits each table
+    # once, in k order, and then runs only the other admissions
+    calls, real = [], diagram.table_size
+    monkeypatch.setattr(diagram, "table_size", lambda k, jmax: calls.append(k) or real(k, jmax))
+    monkeypatch.setattr(cli, "_verify_task", lambda task: [None] * (len(task[2]) - 1))
+    argv = ["verify", "--kmax", "3", "--jmax", "10", "--jobs", "1",
+            "--backends", "dp,dyck,gf,spectral,matrix"]
+    assert run(argv)[0] == 0
+    assert calls == [0, 1, 2, 3]
 
 
 def test_verify_names_no_backend():

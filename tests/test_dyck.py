@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bratteli.diagram import count_dp, dp_columns
+from bratteli import dyck
+from bratteli.diagram import TableBudgetError, count_dp, dp_columns
 from bratteli.dyck import (
+    admit_enumeration,
     endpoint_counts,
     endpoint_tallies,
     enumerate_count,
@@ -84,9 +86,63 @@ def test_a_level_above_a_byte_is_refused_before_any_work():
                                       " its tree has more than 2**255 paths")
 
 
-def test_length_cap():
-    with pytest.raises(ValueError):
-        enumerate_count(2, 1, 27)  # a vertex: an unreachable one is 0 at any length
+def test_length_cap(monkeypatch):
+    # the length a level admits follows from its nodes: 48 steps at level 2, 28 at level 8 and 27
+    # from level 10 on, where a cap of 26 steps stood at every level.  A vertex past it is
+    # refused before any path is enumerated; an unreachable one is 0 at any length
+    for level, jmax in ((2, 48), (3, 36), (8, 28), (10, 27), (255, 27)):
+        admit_enumeration(level, jmax)
+        with pytest.raises(TableBudgetError):
+            admit_enumeration(level, jmax + 1)
+
+    def refuse(*args):
+        raise AssertionError("enumerated past the node budget")
+
+    monkeypatch.setattr(dyck, "endpoint_counts", refuse)
+    with pytest.raises(TableBudgetError):
+        enumerate_count(2, 1, 49)
+    assert enumerate_count(2, 2, 49) == 0
+
+
+def test_admission_counts_the_nodes_and_charges_each_depth():
+    for level in range(9):
+        for j in range(17):
+            nodes = sum(map(sum, endpoint_tallies(level, j)))
+            assert admit_enumeration(level, j) == nodes + 150 * (j + 1), (level, j)
+
+
+def test_admission_keeps_every_shape_the_old_cap_admitted():
+    for k in (*range(41), 255, 10**6):
+        assert admit_enumeration(k, 26) <= 64_000_000, k
+
+
+def test_a_refusal_allocates_nothing_at_any_k():
+    import tracemalloc
+    # a column of 10**6 + 1 heights alone would take 8 MB; the sum runs in a band of 33
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableBudgetError):
+            admit_enumeration(10**6, 10**6)
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_long_thin_enumeration_is_refused_not_run():
+    import signal
+    # level 1 has one path of each length, so its nodes alone would admit 10**11 steps; the
+    # charge per depth refuses it at once, where a run would not end
+    def hung(*args):
+        raise AssertionError("enumerate_count(1, 1, 10**11 + 1) still running after 5 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(TableBudgetError):
+            enumerate_count(1, 1, 10**11 + 1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_iter_paths_order_and_counts():

@@ -57,13 +57,16 @@ GOLDEN = [
         "error: count for k=2, j=100000000000 needs up to 50000000002 bits,"
         " budget is 4000000\n"
     ), 2),
+    # dyck is admitted by the nodes it visits: 48 steps at level 2, but 27 from level 10 on
     (["count", "--k", "2", "--i", "0", "--j", "30", "--backend", "dyck"],
-     EMPTY, "error: j=30 exceeds the enumeration cap of 26 steps\n", 2),
-    (["count", "--k", "100000", "--i", "0", "--j", "66000", "--backend", "spectral"],
+     "33f50728129313570f6b953c08b559d9cb5f673e981e647cee4dc10d6cd48e99", "", 0),
+    (["count", "--k", "30", "--i", "0", "--j", "40", "--backend", "dyck"],
      EMPTY, (
-        "error: no stable integer for (k=100000, i=0, j=66000) within 65536 "
-        "bits (last residual: never evaluated)\n"
+        "error: enumeration for k=30 to depth 40 visits at least 81272761 nodes,"
+        " budget is 64000000\n"
     ), 2),
+    (["count", "--k", "100000", "--i", "0", "--j", "66000", "--backend", "spectral"],
+     EMPTY, "error: no stable integer for (k=100000, i=0, j=66000) within 65536 bits\n", 2),
     (["table", "--k", "2", "--jmax", "4"],
      "ac062f87556fea7a82c63c915f9b051aec85a08532771c14091d53b2a3f1bc3f", "", 0),
     (["table", "--k", "3", "--jmax", "9", "--format", "json"],
@@ -98,8 +101,8 @@ GOLDEN = [
     (["verify", "--kmax", "2", "--jmax", "4", "--backends", "dp,nope"],
      EMPTY, "error: unknown backend 'nope'; choose from dp, dyck, gf, spectral, matrix\n", 2),
     (["verify", "--kmax", "2", "--jmax", "30", "--backends", "dp,dyck"],
-     EMPTY, "error: the dyck backend enumerates at most 26 steps; lower --jmax\n", 2),
-    # every level's table is admitted before dyck's cap
+     "65dc2cdcdc128c04e79dcfa98133420465d61f3a4944051e1f44c77b30d0f0c1", "", 0),
+    # every level's table is admitted before dyck's node budget
     (["verify", "--kmax", "3000", "--jmax", "3000", "--backends", "dp,dyck"],
      EMPTY, "error: table for k=763, jmax=3000 needs 1000840 entries, budget is 1000000\n", 2),
     (["verify", "--kmax", "2", "--jmax", "400000", "--backends", "gf,dp"],

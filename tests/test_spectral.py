@@ -275,8 +275,12 @@ def test_precision_exhaustion(monkeypatch):
     with pytest.raises(PrecisionExhaustedError):
         count_spectral(6, 0, 60)
     # the refusal comes before the sum is evaluated
+    def refuse(*args):
+        raise AssertionError("the angle table was built past the refusal")
+
     monkeypatch.setattr(spectral, "MAX_BITS", 64)
-    with pytest.raises(PrecisionExhaustedError, match="never evaluated"):
+    monkeypatch.setattr(spectral, "_angles", refuse)
+    with pytest.raises(PrecisionExhaustedError, match=r"within 64 bits$"):
         count_spectral(6, 0, 60)
 
 
